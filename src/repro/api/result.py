@@ -150,10 +150,6 @@ class RunResult:
     rom_cache_stats: dict[str, int] | None = None
     repro_version: str = __version__
     spec_hash: str = ""
-    #: Array backend that was requested (CLI > spec > env precedence applied)
-    #: and the backend actually used after availability fallback.
-    array_backend_requested: str = "numpy"
-    array_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         self.cases = tuple(self.cases)
@@ -201,10 +197,6 @@ class RunResult:
             "spec": self.spec.to_dict(),
             "spec_hash": self.spec_hash,
             "backends_used": self.backends_used,
-            "array_backend": {
-                "requested": self.array_backend_requested,
-                "resolved": self.array_backend,
-            },
             "num_case_groups": self.num_case_groups,
             "materials_overridden": self.materials_overridden,
             "rom_cache": self.rom_cache_stats,
@@ -376,9 +368,8 @@ class RunResult:
                     hotspots=hotspots,
                 )
             )
-        # Version-1 manifests predate the array-backend record; default to
-        # numpy, which is what those runs used.
-        array_backend_entry = manifest.get("array_backend") or {}
+        # Older manifests also carry a record of the dense array backend;
+        # it is ignored (every run computed on numpy).
         return cls(
             spec=spec,
             cases=tuple(cases),
@@ -387,8 +378,6 @@ class RunResult:
             rom_cache_stats=manifest.get("rom_cache"),
             repro_version=manifest["repro_version"],
             spec_hash=manifest["spec_hash"],
-            array_backend_requested=array_backend_entry.get("requested", "numpy"),
-            array_backend=array_backend_entry.get("resolved", "numpy"),
         )
 
 

@@ -25,11 +25,6 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
-from repro.backend import (
-    ARRAY_BACKEND_ALIASES,
-    array_backend_names,
-    canonical_array_backend_name,
-)
 # Deprecated alias: SpecError now lives in the unified exception taxonomy
 # (repro.errors); importing it from here keeps working.
 from repro.errors import SpecError
@@ -62,8 +57,9 @@ from repro.utils.validation import (
 #: and refuses anything else.  Version history:
 #:
 #: * 1 — initial layout (no ``solver.array_backend``).
-#: * 2 — adds ``solver.array_backend``; purely additive, so version-1
-#:   documents load unchanged with the field at its ``"numpy"`` default.
+#: * 2 — adds ``solver.array_backend``.  Only numpy remains: the field is
+#:   written as the constant ``"numpy"``, accepted on input as ``"numpy"``
+#:   (or ``"np"``) and otherwise ignored, and any other value is rejected.
 #: * 3 — adds ``solver.shard`` (out-of-core sharded global stage); purely
 #:   additive, older documents load unchanged with sharding disabled.
 SCHEMA_VERSION = 3
@@ -562,9 +558,6 @@ class ShardSpec:
 class SolverSpec:
     """Global-stage solver configuration plus the local-stage worker count.
 
-    ``array_backend`` selects the dense array backend (``repro.backend``)
-    the kernels run on; the default ``"numpy"`` keeps pre-version-2 spec
-    documents loading (and producing bit-identical results) unchanged.
     ``shard`` (version 3) opts the global stage into the out-of-core
     sharded solver; ``None`` keeps the monolithic path.
     """
@@ -575,7 +568,6 @@ class SolverSpec:
     max_iterations: int = 5000
     gmres_restart: int = 100
     jobs: int | None = None
-    array_backend: str = "numpy"
     shard: ShardSpec | None = None
 
     def __post_init__(self) -> None:
@@ -589,15 +581,6 @@ class SolverSpec:
                 raise ValidationError(
                     f"backend must be one of {known} or null, got {self.backend!r}"
                 )
-        try:
-            canonical = canonical_array_backend_name(self.array_backend)
-        except ValidationError as exc:
-            known_arrays = sorted({*array_backend_names(), *ARRAY_BACKEND_ALIASES})
-            raise ValidationError(
-                f"array_backend must be one of {known_arrays}, "
-                f"got {self.array_backend!r}"
-            ) from exc
-        object.__setattr__(self, "array_backend", canonical)
         # SolverOptions validates method/rtol/max_iterations eagerly.
         self.build_options()
         if self.jobs is not None:
@@ -621,15 +604,24 @@ class SolverSpec:
             "max_iterations": self.max_iterations,
             "gmres_restart": self.gmres_restart,
             "jobs": self.jobs,
-            "array_backend": self.array_backend,
+            # Constant: every build computed on numpy.  Writing it keeps
+            # documents, spec hashes and the benchmark's committed reference
+            # spec identical to those of builds that had the field.
+            "array_backend": "numpy",
             "shard": None if self.shard is None else self.shard.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "solver") -> "SolverSpec":
         data = _as_mapping(data, path)
-        allowed = [f.name for f in fields(cls)]
-        _reject_unknown(data, allowed, path)
+        # "array_backend" is written as a constant (see to_dict); numpy is the
+        # only backend, so only that value loads, and it is ignored.
+        _reject_unknown(data, [f.name for f in fields(cls)] + ["array_backend"], path)
+        legacy = _get(data, "array_backend", path, "numpy")
+        if not isinstance(legacy, str) or legacy.strip().lower() not in ("numpy", "np"):
+            raise SpecError(
+                f"{path}.array_backend: only 'numpy' is supported, got {legacy!r}"
+            )
         kwargs = {
             "method": _string(_get(data, "method", path, cls.method), f"{path}.method"),
             "backend": _optional(
@@ -645,10 +637,6 @@ class SolverSpec:
                 f"{path}.gmres_restart",
             ),
             "jobs": _optional(_get(data, "jobs", path, None), _integer, f"{path}.jobs"),
-            "array_backend": _string(
-                _get(data, "array_backend", path, cls.array_backend),
-                f"{path}.array_backend",
-            ),
         }
         raw_shard = _get(data, "shard", path, None)
         kwargs["shard"] = (

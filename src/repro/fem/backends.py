@@ -52,20 +52,13 @@ _logger = get_logger("fem.backends")
 
 @dataclass
 class SolveStats:
-    """Diagnostics of a completed solve.
-
-    ``array_backend`` records the dense array backend (``repro.backend``)
-    that was active when the solve ran; the sparse solve itself always runs
-    on scipy, but the assembly and reconstruction around it follow this
-    backend, so manifests record it for provenance.
-    """
+    """Diagnostics of a completed solve."""
 
     method: str
     iterations: int
     residual_norm: float
     converged: bool
     unknowns: int
-    array_backend: str = "numpy"
 
 
 class FactorizedOperator:

@@ -4,11 +4,7 @@ The assembly and stress-recovery kernels need, for every element, the Lamé
 parameters, the CTE and the 6x6 elasticity matrix.  This module resolves the
 mesh's integer material tags against a :class:`~repro.materials.MaterialLibrary`
 once and exposes the result as flat NumPy arrays for vectorised kernels.
-
-Storage stays numpy (the resolved metadata is indexed by the sparse assembly
-side and persisted in ROM caches); dense consumers convert it onto the active
-array backend (``bm``) where the arithmetic happens.  Dtype policy follows
-``bm.ftype``: all real-valued tables are float64.
+All real-valued tables are float64.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
 from repro.materials.library import MaterialLibrary
 from repro.mesh.structured import StructuredHexMesh
 
@@ -52,14 +47,10 @@ class ElementMaterialData:
         """Number of distinct material tags present in the mesh."""
         return int(self.tags.size)
 
-    def thermal_strain_unit(self):
-        """Per-tag Voigt thermal strain for ``delta_t = 1``, shape ``(num_tags, 6)``.
-
-        Computed on the active array backend (``bm``); on numpy this is the
-        plain float64 array it always was.
-        """
-        eps = bm.zeros((self.num_tags, 6), dtype=bm.ftype)
-        eps[:, :3] = bm.asarray(self.cte, dtype=bm.ftype)[:, None]
+    def thermal_strain_unit(self) -> np.ndarray:
+        """Per-tag Voigt thermal strain for ``delta_t = 1``, shape ``(num_tags, 6)``."""
+        eps = np.zeros((self.num_tags, 6), dtype=np.float64)
+        eps[:, :3] = np.asarray(self.cte, dtype=np.float64)[:, None]
         return eps
 
     def element_lambda(self) -> np.ndarray:

@@ -10,11 +10,9 @@ the paper's reference [17]).
 Voigt ordering used throughout: ``(xx, yy, zz, yz, xz, xy)`` with engineering
 shear strains.
 
-All dense arithmetic runs on the active array backend (``bm``); on the
-default numpy backend every operation resolves to the identical ``np`` call,
-so results are bit-for-bit unchanged.  Dtype policy: every kernel converts
-its inputs to ``bm.ftype`` (float64) on entry, so callers cannot silently
-drift the element math to float32 regardless of what they pass in.
+Dtype policy: every kernel converts its inputs to ``np.float64`` on entry,
+so callers cannot silently drift the element math to float32 regardless of
+what they pass in.
 """
 
 from __future__ import annotations
@@ -23,11 +21,7 @@ import math
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
-
 #: Local corner coordinates of the hex8 reference element, shape (8, 3).
-#: Kept as a plain numpy constant: converting it at import time would freeze
-#: the array backend before any selection has happened.
 HEX8_LOCAL_CORNERS = np.array(
     [
         (-1.0, -1.0, -1.0),
@@ -42,11 +36,6 @@ HEX8_LOCAL_CORNERS = np.array(
 )
 
 
-def _local_corners():
-    """The reference corners on the active backend, at the policy dtype."""
-    return bm.asarray(HEX8_LOCAL_CORNERS, dtype=bm.ftype)
-
-
 def gauss_points_2x2x2():
     """Return the 2x2x2 Gauss points and weights on ``[-1, 1]^3``.
 
@@ -56,11 +45,11 @@ def gauss_points_2x2x2():
         ``points`` has shape ``(8, 3)``, ``weights`` shape ``(8,)`` (all 1.0).
     """
     g = 1.0 / math.sqrt(3.0)
-    pts = bm.array(
+    pts = np.array(
         [(sx * g, sy * g, sz * g) for sz in (-1, 1) for sy in (-1, 1) for sx in (-1, 1)],
-        dtype=bm.ftype,
+        dtype=np.float64,
     )
-    return pts, bm.ones(8, dtype=bm.ftype)
+    return pts, np.ones(8, dtype=np.float64)
 
 
 def shape_functions(local_points):
@@ -75,9 +64,9 @@ def shape_functions(local_points):
     -------
     Shape ``(n, 8)``; row ``p`` holds ``N_a(xi_p)`` for the 8 corners.
     """
-    pts = bm.atleast_2d(bm.asarray(local_points, dtype=bm.ftype))
+    pts = np.atleast_2d(np.asarray(local_points, dtype=np.float64))
     xi, eta, zeta = pts[:, 0:1], pts[:, 1:2], pts[:, 2:3]
-    corners = _local_corners()
+    corners = HEX8_LOCAL_CORNERS
     return (
         (1.0 + xi * corners[:, 0])
         * (1.0 + eta * corners[:, 1])
@@ -101,18 +90,18 @@ def shape_function_gradients(local_points, element_size):
     -------
     Shape ``(n, 8, 3)``; entry ``[p, a, c]`` is ``dN_a/dx_c`` at point p.
     """
-    pts = bm.atleast_2d(bm.asarray(local_points, dtype=bm.ftype))
-    sizes = bm.asarray(element_size, dtype=bm.ftype)
+    pts = np.atleast_2d(np.asarray(local_points, dtype=np.float64))
+    sizes = np.asarray(element_size, dtype=np.float64)
     if sizes.ndim == 1:
-        sizes = bm.broadcast_to(sizes, (pts.shape[0], 3))
+        sizes = np.broadcast_to(sizes, (pts.shape[0], 3))
     xi, eta, zeta = pts[:, 0:1], pts[:, 1:2], pts[:, 2:3]
-    corners = _local_corners()
+    corners = HEX8_LOCAL_CORNERS
     cx, cy, cz = corners[:, 0], corners[:, 1], corners[:, 2]
     # Derivatives with respect to the local coordinates.
     dn_dxi = cx * (1.0 + eta * cy) * (1.0 + zeta * cz) / 8.0
     dn_deta = (1.0 + xi * cx) * cy * (1.0 + zeta * cz) / 8.0
     dn_dzeta = (1.0 + xi * cx) * (1.0 + eta * cy) * cz / 8.0
-    grad = bm.stack([dn_dxi, dn_deta, dn_dzeta], axis=2)
+    grad = np.stack([dn_dxi, dn_deta, dn_dzeta], axis=2)
     # Chain rule for the axis-aligned map x = x0 + (xi + 1) * dx / 2.
     jacobian_inv = 2.0 / sizes  # shape (n, 3)
     return grad * jacobian_inv[:, None, :]
@@ -132,13 +121,13 @@ def strain_displacement_matrix(grad):
     B matrices of shape ``(n, 6, 24)`` mapping the 24 element displacement
     DoFs (node-major: ``u0x, u0y, u0z, u1x, ...``) to Voigt strains.
     """
-    grad = bm.asarray(grad, dtype=bm.ftype)
+    grad = np.asarray(grad, dtype=np.float64)
     n = grad.shape[0]
-    b = bm.zeros((n, 6, 24), dtype=bm.ftype)
+    b = np.zeros((n, 6, 24), dtype=np.float64)
     dx = grad[:, :, 0]
     dy = grad[:, :, 1]
     dz = grad[:, :, 2]
-    cols = bm.arange(8, dtype=bm.itype) * 3
+    cols = np.arange(8, dtype=np.int64) * 3
     b[:, 0, cols + 0] = dx
     b[:, 1, cols + 1] = dy
     b[:, 2, cols + 2] = dz
@@ -166,19 +155,19 @@ def element_stiffness(element_size: tuple[float, float, float], d_matrix):
 
     Returns
     -------
-    Symmetric element stiffness matrix of shape ``(24, 24)`` at ``bm.ftype``.
+    Symmetric element stiffness matrix of shape ``(24, 24)`` at ``np.float64``.
     """
     dx, dy, dz = (float(s) for s in element_size)
     det_j = dx * dy * dz / 8.0
     pts, weights = gauss_points_2x2x2()
-    grad = shape_function_gradients(pts, bm.array([dx, dy, dz], dtype=bm.ftype))
+    grad = shape_function_gradients(pts, np.array([dx, dy, dz], dtype=np.float64))
     b = strain_displacement_matrix(grad)
-    d = bm.asarray(d_matrix, dtype=bm.ftype)
-    bt = bm.transpose(b, (0, 2, 1))
-    ke = bm.einsum("gai,ij,gbj,g->ab", bt, d, bt, weights)
+    d = np.asarray(d_matrix, dtype=np.float64)
+    bt = np.transpose(b, (0, 2, 1))
+    ke = np.einsum("gai,ij,gbj,g->ab", bt, d, bt, weights)
     ke = ke * det_j
     # Enforce exact symmetry against round-off.
-    return 0.5 * (ke + bm.transpose(ke, (1, 0)))
+    return 0.5 * (ke + np.transpose(ke, (1, 0)))
 
 
 def element_thermal_load(
@@ -203,17 +192,17 @@ def element_thermal_load(
 
     Returns
     -------
-    Element load vector of shape ``(24,)`` at ``bm.ftype``.
+    Element load vector of shape ``(24,)`` at ``np.float64``.
     """
     dx, dy, dz = (float(s) for s in element_size)
     det_j = dx * dy * dz / 8.0
     pts, weights = gauss_points_2x2x2()
-    grad = shape_function_gradients(pts, bm.array([dx, dy, dz], dtype=bm.ftype))
+    grad = shape_function_gradients(pts, np.array([dx, dy, dz], dtype=np.float64))
     b = strain_displacement_matrix(grad)
-    stress_like = bm.matmul(
-        bm.asarray(d_matrix, dtype=bm.ftype), bm.asarray(thermal_strain, dtype=bm.ftype)
+    stress_like = np.matmul(
+        np.asarray(d_matrix, dtype=np.float64), np.asarray(thermal_strain, dtype=np.float64)
     )
-    fe = bm.einsum("gij,i,g->j", b, stress_like, weights)
+    fe = np.einsum("gij,i,g->j", b, stress_like, weights)
     return fe * det_j
 
 

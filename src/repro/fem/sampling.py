@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
 from repro.fem.fields import FieldEvaluator
 from repro.geometry.array_layout import TSVArrayLayout
 from repro.utils.validation import check_positive_int
@@ -53,9 +52,7 @@ def midplane_grid_points(
 
     # Cell-centred sample points inside one block (avoids sampling exactly on
     # block boundaries where stress is discontinuous across the interface).
-    # Grid construction runs on the array backend; the result crosses the
-    # bm.asnumpy() seam because sample points feed numpy-side point location.
-    local = (bm.arange(points_per_block, dtype=bm.ftype) + 0.5) / points_per_block * pitch
+    local = (np.arange(points_per_block, dtype=np.float64) + 0.5) / points_per_block * pitch
     count = points_per_block * points_per_block
 
     points = []
@@ -63,12 +60,12 @@ def midplane_grid_points(
         for col in range(*cols.indices(layout.cols)):
             base_x = origin_x + col * pitch
             base_y = origin_y + row * pitch
-            grid_x, grid_y = bm.meshgrid(base_x + local, base_y + local, indexing="ij")
-            block_points = bm.column_stack(
-                [grid_x.ravel(), grid_y.ravel(), bm.full((count,), z_mid, dtype=bm.ftype)]
+            grid_x, grid_y = np.meshgrid(base_x + local, base_y + local, indexing="ij")
+            block_points = np.column_stack(
+                [grid_x.ravel(), grid_y.ravel(), np.full((count,), z_mid, dtype=np.float64)]
             )
             points.append(block_points)
-    return bm.asnumpy(bm.concatenate(points, axis=0))
+    return np.concatenate(points, axis=0)
 
 
 @dataclass

@@ -26,11 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import faults
-from repro.backend import active_array_backend_name
 from repro.fem.backends import (
     FactorizedOperator,
     SolveStats,
-    _jacobi_preconditioner,  # noqa: F401  (re-exported for tests/back-compat)
     canonical_backend_name,
     resolve_backend,
 )
@@ -135,7 +133,6 @@ class LinearSolver:
             # A different backend answered (unavailable at resolution time,
             # or failed over mid-solve); record the substitution.
             stats.method = f"{requested}->{stats.method}"
-        stats.array_backend = active_array_backend_name()
         self.last_stats = stats
         return solution
 

@@ -7,8 +7,6 @@ contracts the rest of the package only documents:
 * durable writes go through the fsync'd atomic helpers
   (:mod:`repro.utils.serialization`) and carry a :func:`repro.faults.fault_point`
   site,
-* ``bm``-ported numerical modules never touch raw numpy outside annotated
-  ``# backend-seam`` boundaries,
 * service-reachable ``raise`` statements use the registered error taxonomy,
 * shared mutable state is only touched under its owning lock,
 * schema-version literals never move without a migration branch and test.

@@ -28,7 +28,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
 from repro.fem.fields import von_mises
 from repro.geometry.array_layout import BlockKind
 from repro.rom.global_stage import GlobalSolution
@@ -348,11 +347,9 @@ def reconstruct_array_field(
         u_fine = solution.roms[kind].reconstruct_displacement(
             solution.block_reduced_displacement(row, col), solution.delta_t
         )
-        # bm.asnumpy() seam: block reconstruction runs on the array backend
-        # inside the samplers; the preallocated output grids are host numpy.
-        block_u = bm.asnumpy(sampler.displacement_from_fine(u_fine))
-        block_stress = bm.asnumpy(sampler.stress_from_fine(u_fine, solution.delta_t))
-        block_vm = bm.asnumpy(von_mises(block_stress))
+        block_u = sampler.displacement_from_fine(u_fine)
+        block_stress = sampler.stress_from_fine(u_fine, solution.delta_t)
+        block_vm = von_mises(block_stress)
         sx = slice(out_col * p, (out_col + 1) * p)
         sy = slice(out_row * p, (out_row + 1) * p)
         displacement[sx, sy] = block_u.reshape(p, p, q, 3)

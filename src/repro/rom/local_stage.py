@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
 from repro.fem.backends import canonical_backend_name, resolve_backend
 from repro.fem.boundary import DirichletBC, split_system
@@ -143,18 +142,10 @@ class LocalStage:
             )
 
         with timings.measure("projection"):
-            # The sparse product a_local @ basis stays scipy; the dense
-            # Galerkin projection basis^T (A basis) runs on the active array
-            # backend and crosses back through the bm.asnumpy() seam (the
-            # ROM stores host numpy arrays).
             a_basis = a_local @ basis
-            basis_t = bm.transpose(bm.asarray(basis, dtype=bm.ftype), (1, 0))
-            projected_stiffness = bm.asnumpy(
-                bm.matmul(basis_t, bm.asarray(a_basis, dtype=bm.ftype))
-            )
-            projected_load = bm.asnumpy(
-                bm.matmul(basis_t, bm.asarray(b_local, dtype=bm.ftype))
-            )
+            basis_t = np.transpose(np.asarray(basis, dtype=np.float64), (1, 0))
+            projected_stiffness = np.matmul(basis_t, np.asarray(a_basis, dtype=np.float64))
+            projected_load = np.matmul(basis_t, np.asarray(b_local, dtype=np.float64))
 
         n = self.scheme.num_element_dofs
         elapsed = time.perf_counter() - start
@@ -230,11 +221,6 @@ class LocalStage:
         ``jobs > 1`` the batches fan out across the worker pool.  Batch
         boundaries and per-batch arithmetic are identical either way, so the
         parallel basis is bit-equal to the serial one.
-
-        Backend seam: snapshot batches are sparse-solver territory
-        (``-a_fb @ boundary_block`` and SuperLU/CHOLMOD back-substitution),
-        so they deliberately stay on host numpy; the basis only moves onto
-        the array backend afterwards, in the dense Galerkin projection.
 
         Returns the basis matrix of shape ``(num_fine_dofs, n + 1)``.
         """

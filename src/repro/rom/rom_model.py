@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import backend_manager as bm
 from repro.geometry.tsv import TSVGeometry
 from repro.geometry.unit_block import UnitBlockGeometry
 from repro.materials.library import MaterialLibrary
@@ -156,13 +155,10 @@ class ReducedOrderModel:
                 f"nodal_displacement has {nodal_displacement.size} entries, "
                 f"expected {self.num_element_dofs}"
             )
-        # Dense basis expansion on the array backend; the result crosses the
-        # bm.asnumpy() seam because downstream samplers gather it with numpy.
-        reconstructed = bm.matmul(
-            bm.asarray(self.displacement_basis(), dtype=bm.ftype),
-            bm.asarray(nodal_displacement, dtype=bm.ftype),
-        ) + float(delta_t) * bm.asarray(self.thermal_basis(), dtype=bm.ftype)
-        return bm.asnumpy(reconstructed)
+        return np.matmul(
+            np.asarray(self.displacement_basis(), dtype=np.float64),
+            np.asarray(nodal_displacement, dtype=np.float64),
+        ) + float(delta_t) * np.asarray(self.thermal_basis(), dtype=np.float64)
 
     def field_sampler(
         self,

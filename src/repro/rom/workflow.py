@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import canonical_array_backend_name
 from repro.fem.solver import SolverOptions
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.tsv import TSVGeometry
@@ -139,12 +138,6 @@ class MoreStressSimulator:
         stages: it overrides ``solver_options.backend`` for the global solve
         and supplies the local stage's factorisation.  Unavailable optional
         backends fall back gracefully.
-    array_backend:
-        Optional :mod:`repro.backend` array-backend name (``"numpy"``,
-        ``"torch"``, ``"cupy"`` or an alias) activated for the dense kernels
-        of every simulation run through this simulator.  ``None`` keeps
-        whatever backend is already active (the process default).
-        Unavailable backends fall back to numpy with a logged warning.
 
     Example
     -------
@@ -164,7 +157,6 @@ class MoreStressSimulator:
     rom_cache: "ROMCache | str | Path | None" = None
     jobs: int | None = None
     solver_backend: str | None = None
-    array_backend: str | None = None
     _roms: dict[BlockKind, ReducedOrderModel] = field(default_factory=dict, repr=False)
     _local_stage_seconds: float = field(default=0.0, repr=False)
 
@@ -176,10 +168,6 @@ class MoreStressSimulator:
             self.solver_options = dataclasses.replace(
                 self.solver_options, backend=self.solver_backend
             )
-        if self.array_backend is not None:
-            # Reject typos eagerly (canonicalize); availability fallback
-            # happens at activation time in execute_cases.
-            self.array_backend = canonical_array_backend_name(self.array_backend)
 
     # ------------------------------------------------------------------ #
     # local stage management

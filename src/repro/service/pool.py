@@ -125,7 +125,6 @@ def default_run_summary(result: RunResult) -> dict[str, Any]:
         "num_cases": len(result.cases),
         "num_case_groups": result.num_case_groups,
         "backends_used": result.backends_used,
-        "array_backend": result.array_backend,
         "local_stage_seconds": result.local_stage_seconds,
         "global_stage_seconds": result.total_global_stage_seconds,
         "peak_von_mises": max(

@@ -1,355 +1,26 @@
-"""Tests for the pluggable array backend (:mod:`repro.backend`)."""
+"""Tests for how specs treat the retired ``solver.array_backend`` field.
 
-import importlib.util
-import os
-import subprocess
-import sys
-from pathlib import Path
+numpy is the only array backend; these check that documents written before
+and after the field existed still load, and that the schema gate holds.
+"""
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 
-import repro
-from repro.api.executor import _requested_array_backend
-from repro.api.spec import SCHEMA_VERSION, SUPPORTED_SCHEMA_VERSIONS, SimulationSpec, SolverSpec
-from repro.backend import (
-    ARRAY_BACKEND_ALIASES,
-    ARRAY_BACKEND_ENV_VAR,
-    ArrayBackend,
-    BackendManager,
-    CupyArrayBackend,
-    TorchArrayBackend,
-    array_backend_names,
-    available_array_backends,
-    bm,
-    canonical_array_backend_name,
-    get_array_backend,
-    register_array_backend,
-    resolve_array_backend,
-    unregister_array_backend,
-    use_array_backend,
-)
-from repro.fem.element import element_stiffness, element_thermal_load
-from repro.fem.solver import LinearSolver, SolverOptions
-from repro.utils.validation import ValidationError
-
-SRC_DIR = Path(repro.__file__).resolve().parents[1]
-REPO_ROOT = SRC_DIR.parent
-
-
-def _isotropic_d_matrix() -> np.ndarray:
-    lam, mu = 2.0, 1.5
-    d = np.zeros((6, 6))
-    d[:3, :3] = lam
-    d[np.arange(3), np.arange(3)] += 2.0 * mu
-    d[np.arange(3, 6), np.arange(3, 6)] = mu
-    return d
-
-
-class TestRegistry:
-    def test_core_backends_registered(self):
-        names = array_backend_names()
-        for name in ("numpy", "torch", "cupy"):
-            assert name in names
-
-    def test_numpy_always_available(self):
-        assert "numpy" in available_array_backends()
-
-    def test_aliases_resolve_to_canonical_names(self):
-        for alias, canonical in ARRAY_BACKEND_ALIASES.items():
-            assert canonical_array_backend_name(alias) == canonical
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValidationError, match="unknown array backend"):
-            canonical_array_backend_name("jax")
-        with pytest.raises(ValidationError):
-            get_array_backend("jax")
-        with pytest.raises(ValidationError):
-            resolve_array_backend("jax")
-
-    def test_get_backend_accepts_aliases(self):
-        assert get_array_backend("np").name == "numpy"
-        assert get_array_backend("pytorch").name == "torch"
-
-
-class TestFallback:
-    def test_unavailable_torch_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.setattr(
-            TorchArrayBackend, "is_available", classmethod(lambda cls: False)
-        )
-        backend, requested = resolve_array_backend("torch")
-        assert requested == "torch"
-        assert backend.name == "numpy"
-
-    def test_unavailable_cupy_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.setattr(
-            CupyArrayBackend, "is_available", classmethod(lambda cls: False)
-        )
-        backend, requested = resolve_array_backend("cupy")
-        assert requested == "cupy"
-        assert backend.name == "numpy"
-
-    def test_numpy_resolves_to_itself(self):
-        backend, requested = resolve_array_backend("numpy")
-        assert backend.name == requested == "numpy"
-
-    def test_set_backend_records_request_and_resolution(self, monkeypatch):
-        monkeypatch.setattr(
-            TorchArrayBackend, "is_available", classmethod(lambda cls: False)
-        )
-        manager = BackendManager()
-        resolved = manager.set_backend("torch")
-        assert resolved == "numpy"
-        assert manager.active_name == "numpy"
-        assert manager.requested_name == "torch"
-
-
-class TestBackendManager:
-    def test_default_backend_is_numpy(self):
-        manager = BackendManager()
-        assert manager.active_name == "numpy"
-
-    def test_numpy_namespace_forwards_to_numpy(self):
-        manager = BackendManager()
-        assert manager.einsum is np.einsum
-        assert manager.ftype is np.float64
-        assert manager.itype is np.int64
-
-    def test_asnumpy_is_identity_on_numpy(self):
-        array = np.arange(3.0)
-        assert bm.asnumpy(array) is array
-
-    def test_private_attributes_not_forwarded(self):
-        with pytest.raises(AttributeError):
-            bm.__wrapped__
-
-    def test_env_var_selects_initial_backend(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "np")
-        manager = BackendManager()
-        assert manager.active_name == "numpy"
-        assert manager.requested_name == "numpy"
-
-    def test_unknown_env_var_rejected_on_first_use(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "jax")
-        manager = BackendManager()
-        with pytest.raises(ValidationError, match="unknown array backend"):
-            manager.active_name
-
-
-class _FakeNamespace:
-    """Numpy in disguise: proves a third-party namespace can be plugged in."""
-
-    name = "fake"
-    ftype = np.float64
-    itype = np.int64
-
-    def __init__(self):
-        self.calls = []
-
-    def asnumpy(self, array):
-        return np.asarray(array)
-
-    def from_numpy(self, array):
-        return np.asarray(array)
-
-    def __getattr__(self, attr):
-        self.calls.append(attr)
-        return getattr(np, attr)
-
-
-class _FakeArrayBackend(ArrayBackend):
-    name = "fake"
-    fallback = ("numpy",)
-
-    def __init__(self):
-        self.namespace = _FakeNamespace()
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return True
-
-    def create_namespace(self):
-        return self.namespace
-
-
-class TestThirdPartyBackend:
-    def test_register_swap_and_restore(self):
-        backend = _FakeArrayBackend()
-        register_array_backend(backend)
-        try:
-            assert "fake" in array_backend_names()
-            assert "fake" in available_array_backends()
-            before = bm.active_name
-            with use_array_backend("fake") as resolved:
-                assert resolved == "fake"
-                assert bm.active_name == "fake"
-                # Kernel calls route through the fake namespace.
-                ke = element_stiffness((1.0, 1.0, 1.0), _isotropic_d_matrix())
-                assert ke.shape == (24, 24)
-                assert backend.namespace.calls  # the namespace was exercised
-            assert bm.active_name == before
-        finally:
-            unregister_array_backend("fake")
-        assert "fake" not in array_backend_names()
-
-    def test_duplicate_registration_rejected(self):
-        backend = _FakeArrayBackend()
-        register_array_backend(backend)
-        try:
-            with pytest.raises(ValidationError):
-                register_array_backend(_FakeArrayBackend())
-            register_array_backend(_FakeArrayBackend(), replace=True)
-        finally:
-            unregister_array_backend("fake")
-
-    def test_numpy_cannot_be_unregistered(self):
-        with pytest.raises(ValidationError):
-            unregister_array_backend("numpy")
-
-    def test_fake_backend_matches_numpy_results(self):
-        d_matrix = _isotropic_d_matrix()
-        ke_numpy = element_stiffness((1.0, 2.0, 3.0), d_matrix)
-        register_array_backend(_FakeArrayBackend())
-        try:
-            with use_array_backend("fake"):
-                ke_fake = element_stiffness((1.0, 2.0, 3.0), d_matrix)
-        finally:
-            unregister_array_backend("fake")
-        np.testing.assert_array_equal(ke_numpy, ke_fake)
-
-
-class TestUseArrayBackendContext:
-    def test_restores_on_exception(self):
-        before = bm.active_name
-        with pytest.raises(RuntimeError):
-            with use_array_backend("numpy"):
-                raise RuntimeError("boom")
-        assert bm.active_name == before
-
-    def test_unknown_backend_raises_before_entering(self):
-        with pytest.raises(ValidationError):
-            with use_array_backend("jax"):
-                pass  # pragma: no cover
-
-
-class TestLazyImport:
-    def test_importing_repro_backend_does_not_import_torch_or_cupy(self):
-        code = (
-            "import sys\n"
-            "import repro.backend\n"
-            "from repro.backend import bm\n"
-            "bm.zeros(3)\n"  # activate the default backend too
-            "assert 'torch' not in sys.modules, 'torch imported eagerly'\n"
-            "assert 'cupy' not in sys.modules, 'cupy imported eagerly'\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR)
-        env.pop(ARRAY_BACKEND_ENV_VAR, None)
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-
-
-class TestEquivalenceSuiteSkipsCleanly:
-    @pytest.mark.skipif(
-        importlib.util.find_spec("torch") is not None,
-        reason="torch is installed; the equivalence tests run for real",
-    )
-    def test_equivalence_tests_skip_cleanly_without_torch(self):
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "pytest",
-                "-q",
-                str(REPO_ROOT / "tests" / "test_backend_equivalence.py"),
-            ],
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "skipped" in result.stdout
-
-
-class TestSelectionPrecedence:
-    def test_override_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "torch")
-        assert _requested_array_backend("numpy", "cupy") == "numpy"
-
-    def test_explicit_spec_value_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "cupy")
-        assert _requested_array_backend(None, "torch") == "torch"
-
-    def test_env_beats_spec_default(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, "torch")
-        assert _requested_array_backend(None, "numpy") == "torch"
-
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(ARRAY_BACKEND_ENV_VAR, raising=False)
-        assert _requested_array_backend(None, "numpy") == "numpy"
-
-
-class TestProvenance:
-    def test_solve_stats_record_array_backend(self):
-        n = 20
-        matrix = sp.diags(
-            [-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], offsets=(-1, 0, 1)
-        ).tocsr()
-        rhs = np.linspace(1.0, 2.0, n)
-        solver = LinearSolver(SolverOptions(method="direct"))
-        solver.solve(matrix, rhs)
-        assert solver.last_stats.array_backend == "numpy"
-
-
-class TestDtypePolicy:
-    def test_element_stiffness_promotes_float32_inputs(self):
-        d32 = _isotropic_d_matrix().astype(np.float32)
-        ke = element_stiffness((1.0, 1.0, 1.0), d32)
-        assert ke.dtype == np.float64
-
-    def test_element_thermal_load_promotes_float32_inputs(self):
-        d32 = _isotropic_d_matrix().astype(np.float32)
-        strain32 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], dtype=np.float32)
-        fe = element_thermal_load((1.0, 1.0, 1.0), d32, strain32)
-        assert fe.dtype == np.float64
+from repro.api.spec import SimulationSpec, SpecError
 
 
 class TestSpecIntegration:
-    def test_solver_spec_default_and_alias(self):
-        assert SolverSpec().array_backend == "numpy"
-        assert SolverSpec(array_backend="pytorch").array_backend == "torch"
-
-    def test_unknown_array_backend_names_the_field(self):
-        with pytest.raises(ValidationError, match="array_backend"):
-            SolverSpec(array_backend="jax")
-
-    def test_schema_version_bumped_and_supported(self):
-        assert SCHEMA_VERSION == 3
-        assert set(SUPPORTED_SCHEMA_VERSIONS) == {1, 2, 3}
-        assert SimulationSpec().to_dict()["schema_version"] == 3
-
     def test_v1_document_without_array_backend_still_loads(self):
         document = SimulationSpec().to_dict()
         document["schema_version"] = 1
         del document["solver"]["array_backend"]
         del document["solver"]["shard"]
         spec = SimulationSpec.from_dict(document)
-        assert spec.solver.array_backend == "numpy"
+        assert spec.to_dict()["solver"]["array_backend"] == "numpy"
         assert spec.solver.shard is None
 
     def test_future_schema_version_rejected(self):
         document = SimulationSpec().to_dict()
         document["schema_version"] = 99
-        from repro.api.spec import SpecError
-
         with pytest.raises(SpecError, match="schema_version"):
             SimulationSpec.from_dict(document)
-
-    def test_round_trip_preserves_array_backend(self):
-        spec = SimulationSpec(solver=SolverSpec(array_backend="torch"))
-        again = SimulationSpec.from_json(spec.to_json())
-        assert again.solver.array_backend == "torch"

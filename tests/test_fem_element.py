@@ -159,3 +159,27 @@ class TestElementThermalLoad:
         expansion = material.cte * delta_t * corners
         displacement = expansion.reshape(-1)
         np.testing.assert_allclose(ke @ displacement, fe, atol=1e-8 * np.abs(fe).max())
+
+
+class TestDtypePolicy:
+    """Element kernels promote their inputs to float64 before any arithmetic."""
+
+    def test_element_stiffness_promotes_float32_inputs(self, material):
+        d32 = material.elasticity_matrix().astype(np.float32)
+        ke = element_stiffness((1.0, 1.0, 1.0), d32)
+        assert ke.dtype == np.float64
+        np.testing.assert_array_equal(
+            ke, element_stiffness((1.0, 1.0, 1.0), d32.astype(np.float64))
+        )
+
+    def test_element_thermal_load_promotes_float32_inputs(self, material):
+        d32 = material.elasticity_matrix().astype(np.float32)
+        strain32 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], dtype=np.float32)
+        fe = element_thermal_load((1.0, 1.0, 1.0), d32, strain32)
+        assert fe.dtype == np.float64
+        np.testing.assert_array_equal(
+            fe,
+            element_thermal_load(
+                (1.0, 1.0, 1.0), d32.astype(np.float64), strain32.astype(np.float64)
+            ),
+        )

@@ -8,12 +8,8 @@ from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
 from repro.fem.boundary import DirichletBC, reduce_system
 from repro.fem.fields import FieldEvaluator, von_mises
 from repro.fem.sampling import PlaneSampler, midplane_grid_points
-from repro.fem.solver import (
-    FactorizedOperator,
-    LinearSolver,
-    SolverOptions,
-    _jacobi_preconditioner,
-)
+from repro.fem.backends import _jacobi_preconditioner
+from repro.fem.solver import FactorizedOperator, LinearSolver, SolverOptions
 from repro.geometry.array_layout import TSVArrayLayout
 from repro.utils.validation import ValidationError
 

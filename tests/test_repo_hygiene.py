@@ -62,7 +62,7 @@ class TestSelfHosting:
         )
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.ok, f"repro lint found violations:\n{rendered}"
-        assert len(report.rules) >= 6
+        assert len(report.rules) >= 5
         # Every inline suppression in the tree carries its justification.
         for finding, justification in report.suppressed:
             assert justification.strip(), f"unjustified suppression: {finding}"

@@ -10,6 +10,9 @@ if the literals move without tests like these keeping up.
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.api.envelope import (
@@ -18,6 +21,7 @@ from repro.api.envelope import (
     unwrap,
     wrap,
 )
+from repro.api.result import CaseResult, RunResult
 from repro.api.spec import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
@@ -26,24 +30,29 @@ from repro.api.spec import (
 )
 
 
+def _spec_document(version: int) -> dict:
+    """A spec document of ``version`` without ``solver.array_backend``."""
+    document = SimulationSpec().to_dict()
+    document["schema_version"] = version
+    del document["solver"]["array_backend"]
+    if version < 3:
+        del document["solver"]["shard"]
+    return document
+
+
 def _v1_spec_document() -> dict:
     """A spec document as the version-1 layout wrote it.
 
-    Version 1 predates the array-backend seam (PR 6) and sharding (PR 8):
-    its solver section has neither ``array_backend`` nor ``shard``.
+    Version 1 predates the array-backend field and sharding: its solver
+    section has neither ``array_backend`` nor ``shard``.
     """
-    document = SimulationSpec().to_dict()
-    document["schema_version"] = 1
-    del document["solver"]["array_backend"]
-    del document["solver"]["shard"]
-    return document
+    return _spec_document(1)
 
 
 def _v2_spec_document() -> dict:
     """Version 2 added ``array_backend`` but not ``shard``."""
-    document = SimulationSpec().to_dict()
-    document["schema_version"] = 2
-    del document["solver"]["shard"]
+    document = _spec_document(2)
+    document["solver"]["array_backend"] = "numpy"
     return document
 
 
@@ -54,10 +63,14 @@ class TestSpecMigration:
         assert SCHEMA_VERSION in SUPPORTED_SCHEMA_VERSIONS
         assert any(v < SCHEMA_VERSION for v in SUPPORTED_SCHEMA_VERSIONS)
 
+    def test_current_version_and_supported_set(self):
+        assert SCHEMA_VERSION == 3
+        assert set(SUPPORTED_SCHEMA_VERSIONS) == {1, 2, 3}
+        assert SimulationSpec().to_dict()["schema_version"] == 3
+
     def test_v1_document_migration(self):
         spec = SimulationSpec.from_dict(_v1_spec_document())
         # Fields that post-date v1 come back as their defaults.
-        assert spec.solver.array_backend == "numpy"
         assert spec.solver.shard is None
         # Re-serializing writes the *current* version: migration is one-way.
         assert spec.to_dict()["schema_version"] == SCHEMA_VERSION
@@ -80,8 +93,76 @@ class TestSpecMigration:
         with pytest.raises(SpecError) as excinfo:
             SimulationSpec.from_dict(document)
         message = str(excinfo.value)
+        assert "schema_version" in message
         assert "99" in message
         assert str(list(SUPPORTED_SCHEMA_VERSIONS)) in message
+
+
+class TestRetiredArrayBackendField:
+    """``solver.array_backend`` is numpy-only: written as a constant, ignored on input."""
+
+    @pytest.mark.parametrize("value", ["numpy", "np"])
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_numpy_value_loads_and_hashes_as_absent(self, version, value):
+        document = _spec_document(version)
+        document["solver"]["array_backend"] = value
+        spec = SimulationSpec.from_dict(document)
+        without = SimulationSpec.from_dict(_spec_document(version))
+        assert spec == without
+        assert spec.spec_hash() == without.spec_hash()
+
+    @pytest.mark.parametrize("value", ["torch", "cupy", "bogus", 1])
+    def test_other_values_rejected_naming_the_field(self, value):
+        document = _v2_spec_document()
+        document["solver"]["array_backend"] = value
+        with pytest.raises(SpecError, match=r"solver\.array_backend"):
+            SimulationSpec.from_dict(document)
+
+    def test_field_is_written_as_numpy(self):
+        # Documents and spec hashes stay what builds with the field wrote.
+        assert SimulationSpec().to_dict()["solver"]["array_backend"] == "numpy"
+        spec = SimulationSpec.from_dict(_v2_spec_document())
+        assert spec.to_dict() == SimulationSpec().to_dict()
+
+
+class TestRunManifestMigration:
+    def test_manifest_with_array_backend_entry_round_trips(self, tmp_path):
+        # Builds that carried the array-backend layer also wrote a
+        # requested/resolved record into the manifest.
+        von_mises = np.arange(8.0).reshape(1, 2, 2, 2)
+        result = RunResult(
+            spec=SimulationSpec(),
+            cases=(
+                CaseResult(
+                    name="cooldown",
+                    delta_t=-250.0,
+                    rows=1,
+                    cols=2,
+                    location=None,
+                    von_mises=von_mises,
+                    num_global_dofs=42,
+                    local_stage_seconds=1.0,
+                    global_stage_seconds=0.5,
+                    peak_memory_bytes=1024,
+                    solver_method="gmres",
+                    group=0,
+                ),
+            ),
+            num_case_groups=1,
+        )
+        result.save(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        document = json.loads(manifest_path.read_text())
+        assert document["schema_version"] == ENVELOPE_VERSION
+        assert "array_backend" not in document["data"]
+        document["data"]["array_backend"] = {"requested": "numpy", "resolved": "numpy"}
+        manifest_path.write_text(json.dumps(document))
+
+        loaded = RunResult.load(tmp_path)
+        assert loaded.spec == result.spec
+        assert loaded.spec_hash == result.spec_hash
+        np.testing.assert_array_equal(loaded.cases[0].von_mises, von_mises)
+        assert loaded.manifest() == result.manifest()
 
 
 class TestEnvelopeMigration:

@@ -53,7 +53,6 @@ class FakeResult:
     cases = ()
     num_case_groups = 1
     backends_used = ["fake"]
-    array_backend = "numpy"
     local_stage_seconds = 0.0
     total_global_stage_seconds = 0.0
     rom_cache_stats = None
