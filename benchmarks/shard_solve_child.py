@@ -1,10 +1,15 @@
 """Child process of the sharded-scaling benchmark: one solve, one report.
 
-Runs a single global-stage solve — monolithic or sharded — in a fresh
-process so its ``ru_maxrss`` is the peak RSS of exactly that solve (a
-same-process comparison is impossible: the high-water mark never goes back
-down).  Writes a JSON report and the nodal displacement vector for the
-parent benchmark to compare.
+Runs a single global-stage solve in a fresh process so its ``ru_maxrss`` is
+the peak RSS of exactly that solve (a same-process comparison is
+impossible: the high-water mark never goes back down).  Writes a JSON report
+and the nodal displacement vector for the parent benchmark to compare.
+
+Modes:
+
+* ``monolithic`` — the lifted, assembled system factorised by SuperLU;
+* ``matrix-free`` — GMRES on the matrix-free global operator;
+* ``sharded`` — the overlapping-Schwarz sharded solve.
 
 Usage (invoked by ``benchmarks/test_global_scaling.py``)::
 
@@ -54,7 +59,9 @@ def _peak_rss_bytes() -> int:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, required=True)
-    parser.add_argument("--mode", choices=("monolithic", "sharded"), required=True)
+    parser.add_argument(
+        "--mode", choices=("monolithic", "matrix-free", "sharded"), required=True
+    )
     parser.add_argument("--grid", type=int, nargs=2, default=(2, 2))
     parser.add_argument("--overlap", type=int, default=2)
     parser.add_argument("--cache", required=True)
@@ -71,13 +78,16 @@ def main() -> None:
     rom = local.build(UnitBlockGeometry(tsv=TSVGeometry.paper_default(pitch=15.0)))
     local_seconds = time.perf_counter() - start
 
+    method = "gmres" if args.mode == "matrix-free" else "direct"
     stage = GlobalStage(
-        {BlockKind.TSV: rom}, materials, solver_options=SolverOptions(method="direct")
+        {BlockKind.TSV: rom},
+        materials,
+        solver_options=SolverOptions(method=method, rtol=1e-9),
     )
     layout = TSVArrayLayout.full(rom.block.tsv, rows=args.size)
 
     start = time.perf_counter()
-    if args.mode == "monolithic":
+    if args.mode != "sharded":
         solution = stage.solve(layout, delta_t=_DELTA_T)
         shard_stats = None
     else:
@@ -98,6 +108,7 @@ def main() -> None:
         "cache_hit": cache.hits >= 1,
         "peak_rss_bytes": _peak_rss_bytes(),
         "max_von_mises": max_von_mises,
+        "solver_method": solution.solver_stats.method,
         "shard": shard_stats,
     }
     Path(args.report).write_text(json.dumps(report, indent=2) + "\n")

@@ -20,8 +20,8 @@ Backends shipped by default:
     symmetric positive definite systems.  Falls back to a direct solve when
     it does not converge.
 ``gmres``
-    Restarted GMRES with a Jacobi preconditioner, for the non-symmetric
-    lifted global system (the paper's choice).
+    Restarted GMRES with a Jacobi preconditioner (the paper's choice for the
+    global system).
 ``cholmod``
     CHOLMOD sparse Cholesky via ``scikit-sparse``, when importable.
 ``pyamg``
@@ -158,10 +158,15 @@ class SparseBackend:
     fallback:
         Backends tried, in order, when this one is unavailable; the registry
         appends ``"direct-splu"`` as the terminal fallback.
+    matrix_free:
+        Whether :meth:`solve` works from matrix-vector products alone, so it
+        accepts a :class:`scipy.sparse.linalg.LinearOperator` that provides
+        ``diagonal()`` (and ``tocsc()`` for the direct fallback).
     """
 
     name: str = ""
     fallback: tuple[str, ...] = ()
+    matrix_free: bool = False
 
     @classmethod
     def is_available(cls) -> bool:
@@ -205,12 +210,15 @@ class DirectSuperLUBackend(SparseBackend):
 class _IterativeBackend(SparseBackend):
     """Shared plumbing of the Jacobi-preconditioned Krylov backends."""
 
+    matrix_free = True
+
     def _run(self, matrix, rhs, options):
         """Run the Krylov method; return ``(solution, iterations, info)``."""
         raise NotImplementedError
 
     def solve(self, matrix, rhs, options):
-        matrix = matrix.tocsr()
+        if sp.issparse(matrix):
+            matrix = matrix.tocsr()
         solution, iterations, info = self._run(matrix, rhs, options)
         residual = float(np.linalg.norm(matrix @ solution - rhs))
         rhs_norm = float(np.linalg.norm(rhs))

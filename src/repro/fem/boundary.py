@@ -192,8 +192,10 @@ def lift_system(
 
     Rows of ``matrix`` belonging to constrained DoFs are replaced by identity
     rows and the corresponding entries of ``rhs`` are set to the prescribed
-    values.  The returned matrix is no longer symmetric, which is why the
-    global ROM problem is solved with GMRES or a direct factorisation.
+    values.  The returned matrix is no longer symmetric, so it needs a
+    direct factorisation or GMRES, not CG.  Iterative global solves mask the
+    constrained DoFs instead (``GlobalOperator.apply_dirichlet`` in
+    :mod:`repro.rom.global_stage`), which keeps the system symmetric.
     """
     matrix = matrix.tocsr(copy=True)
     rhs = np.asarray(rhs, dtype=float).copy()
@@ -202,9 +204,9 @@ def lift_system(
     constrained = bc.dofs
     # Zero out the constrained rows in CSR storage without changing sparsity
     # of other rows.
-    for dof in constrained:
-        start, stop = matrix.indptr[dof], matrix.indptr[dof + 1]
-        matrix.data[start:stop] = 0.0
+    constrained_row = np.zeros(matrix.shape[0], dtype=bool)
+    constrained_row[constrained] = True
+    matrix.data[np.repeat(constrained_row, np.diff(matrix.indptr))] = 0.0
     matrix = matrix + sp.csr_matrix(
         (np.ones(constrained.size), (constrained, constrained)), shape=matrix.shape
     )

@@ -6,8 +6,10 @@ The package needs three kinds of solves:
   hundreds of right-hand sides (:class:`FactorizedOperator`);
 * the reference full-FEM solver handles the largest systems and uses either a
   direct factorisation or preconditioned conjugate gradients;
-* the global ROM system is modest in size but non-symmetric after lifting, so
-  it is solved with GMRES (the paper's choice) or a direct factorisation.
+* the global ROM system is solved with GMRES (the paper's choice) or CG on
+  a matrix-free operator whose Dirichlet DoFs are masked, which keeps it
+  symmetric; direct factorisations get the assembled matrix with the
+  constrained rows lifted to identity rows.
 
 The actual numerics live in the pluggable backends of
 :mod:`repro.fem.backends` (SuperLU, Jacobi-preconditioned CG/GMRES and the
@@ -99,6 +101,11 @@ class LinearSolver:
 
     def __init__(self, options: SolverOptions | None = None):
         self.options = options or SolverOptions()
+        #: The backend :meth:`solve` dispatches to: the configured one, or
+        #: its fallback when that is unavailable.
+        self.backend, self._requested = resolve_backend(
+            self.options.effective_backend
+        )
         self.last_stats: SolveStats | None = None
 
     def solve(self, matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -108,7 +115,7 @@ class LinearSolver:
             raise ValidationError(
                 f"matrix of shape {matrix.shape} incompatible with rhs of size {rhs.size}"
             )
-        backend, requested = resolve_backend(self.options.effective_backend)
+        backend, requested = self.backend, self._requested
         answered = backend
         try:
             # Each backend is a named fault site: an injected transient

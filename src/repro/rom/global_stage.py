@@ -1,23 +1,25 @@
 """The global stage of MORE-Stress (paper §4.3, Fig. 4).
 
 Given the reduced order models of the block kinds present in a layout, the
-global stage assembles the array-level "abstract" finite element problem:
+global stage sets up the array-level "abstract" finite element problem:
 
 * every block contributes its dense abstract element stiffness matrix and
   thermal load vector (paper Eq. 18-19),
-* contributions are scattered into the sparse global system through the
-  standard assembly procedure using the shared global interpolation-node
+* contributions are combined through the shared global interpolation-node
   numbering (:class:`~repro.rom.global_dofs.GlobalDofManager`),
 * Dirichlet conditions (clamped surfaces or sub-model boundary displacements)
-  are applied by lifting, and
-* the system is solved with GMRES (the paper's choice) or a direct
-  factorisation.
+  are applied by masking (iterative solves) or lifting (direct solves), and
+* the system is solved with GMRES (the paper's choice), conjugate gradients
+  or a direct factorisation.
 
-Assembly is batched: the per-block gather maps are stacked into one array and
-all COO triplets are produced with a handful of vectorized operations, so the
-global stage scales to 100x100 arrays without a per-block Python loop.  The
-original per-block loop is retained as :meth:`GlobalStage.assemble_reference`
-for equivalence tests and benchmarks; both produce identical matrices.
+Every block of one kind shares one dense element matrix, so the global
+stiffness is kept matrix-free as a :class:`GlobalOperator`: ``K @ u`` is a
+gather of the block DoFs, one dense product per block kind and a scatter-add.
+Its storage is one ``n x n`` matrix per kind plus the block DoF map, so GMRES
+and CG solves need O(DoFs) memory.  Direct solvers get the assembled CSR
+matrix from :meth:`GlobalOperator.tocsr`; it is built from COO triplets in
+the exact order of the original per-block loop, which is retained as
+:meth:`GlobalStage.assemble_reference` for equivalence tests and benchmarks.
 
 Because the reduced problem is linear in the thermal load and the lifted
 matrix depends only on *which* DoFs are constrained (not on their values),
@@ -31,12 +33,12 @@ fields inside any block from the local basis functions (Eq. 15).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.fem.backends import resolve_backend
 from repro.fem.boundary import DirichletBC, lift_system
@@ -85,6 +87,151 @@ def _check_rom_consistency(
             rom.check_materials(materials)
 
 
+class GlobalOperator(spla.LinearOperator):
+    """The global stiffness matrix of a layout, kept as shared block matrices.
+
+    Every block of one kind has the same abstract element stiffness, so the
+    operator stores one dense ``n x n`` matrix per kind plus the block DoF
+    map.  ``K @ x`` gathers ``x`` at every block's DoFs, applies one dense
+    product per kind and scatter-adds the results with ``np.bincount``.
+
+    Parameters
+    ----------
+    element_stiffness:
+        One dense ``n x n`` element stiffness matrix per block kind.
+    codes:
+        Kind code of every block: an index into ``element_stiffness``.
+    dofs:
+        ``(num_blocks, n)`` global DoF ids of every block, as returned by
+        :meth:`GlobalDofManager.all_block_dof_ids`.
+    constrained:
+        Dirichlet DoFs masked out of the operator (see
+        :meth:`apply_dirichlet`), or ``None`` for the plain stiffness matrix.
+    """
+
+    def __init__(
+        self,
+        element_stiffness: Sequence[np.ndarray],
+        codes: np.ndarray,
+        dofs: np.ndarray,
+        constrained: np.ndarray | None = None,
+    ):
+        self.element_stiffness = tuple(
+            np.asarray(matrix, dtype=np.float64) for matrix in element_stiffness
+        )
+        self.codes = np.asarray(codes, dtype=np.int64)
+        self.dofs = np.asarray(dofs, dtype=np.int64)
+        self.constrained = (
+            None if constrained is None else np.asarray(constrained, dtype=np.int64)
+        )
+        num_dofs = int(self.dofs.max()) + 1
+        super().__init__(dtype=np.float64, shape=(num_dofs, num_dofs))
+        # Blocks grouped by kind, so each kind is one dense product.
+        present = [
+            code for code in range(len(self.element_stiffness))
+            if np.any(self.codes == code)
+        ]
+        self._kind_dofs = [self.dofs[self.codes == code] for code in present]
+        self._kind_stiffness = [self.element_stiffness[code] for code in present]
+        self._scatter = np.concatenate([dofs.ravel() for dofs in self._kind_dofs])
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored matrix entries: ``n * n`` per block kind."""
+        return sum(matrix.size for matrix in self.element_stiffness)
+
+    def _stiffness_product(self, x: np.ndarray) -> np.ndarray:
+        """``K @ x`` of the unmasked stiffness matrix."""
+        products = [
+            (x[dofs] @ stiffness.T).ravel()
+            for dofs, stiffness in zip(self._kind_dofs, self._kind_stiffness)
+        ]
+        return np.bincount(
+            self._scatter, weights=np.concatenate(products), minlength=self.shape[0]
+        )
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        x = np.ravel(x)
+        if self.constrained is None:
+            return self._stiffness_product(x)
+        # P K P x + (I - P) x, with P the projection onto the free DoFs.
+        free_x = x.copy()
+        free_x[self.constrained] = 0.0
+        y = self._stiffness_product(free_x)
+        y[self.constrained] = x[self.constrained]
+        return y
+
+    def diagonal(self) -> np.ndarray:
+        """Main diagonal, summed from the per-kind element diagonals."""
+        weights = np.concatenate(
+            [
+                np.broadcast_to(np.diag(stiffness), dofs.shape).ravel()
+                for dofs, stiffness in zip(self._kind_dofs, self._kind_stiffness)
+            ]
+        )
+        diagonal = np.bincount(self._scatter, weights=weights, minlength=self.shape[0])
+        if self.constrained is not None:
+            diagonal[self.constrained] = 1.0
+        return diagonal
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """COO ``(rows, cols, data)`` of the unmasked matrix.
+
+        The triplets are in row-major block order (block 0's ``n x n``
+        entries first, then block 1's, ...), i.e. the exact order the
+        reference per-block loop emits them in.
+        """
+        n = self.dofs.shape[1]
+        rows = np.repeat(self.dofs, n, axis=1).ravel()
+        cols = np.tile(self.dofs, (1, n)).ravel()
+        stiffness_stack = np.stack(
+            [matrix.reshape(-1) for matrix in self.element_stiffness]
+        )
+        return rows, cols, stiffness_stack[self.codes].ravel()
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The assembled sparse matrix (masked if Dirichlet DoFs are set).
+
+        Only direct solvers need it; iterative solves use ``@`` alone.
+        """
+        rows, cols, data = self.triplets()
+        matrix = sp.coo_matrix((data, (rows, cols)), shape=self.shape).tocsr()
+        matrix.sum_duplicates()
+        if self.constrained is None:
+            return matrix
+        free = np.ones(self.shape[0])
+        free[self.constrained] = 0.0
+        masked = (
+            sp.diags(free) @ matrix @ sp.diags(free) + sp.diags(1.0 - free)
+        ).tocsr()
+        masked.eliminate_zeros()
+        return masked
+
+    def tocsc(self) -> sp.csc_matrix:
+        """:meth:`tocsr` in CSC format (what SuperLU factorises)."""
+        return self.tocsr().tocsc()
+
+    def apply_dirichlet(
+        self, rhs: np.ndarray, bc: DirichletBC
+    ) -> tuple["GlobalOperator", np.ndarray]:
+        """Apply Dirichlet conditions by masking instead of lifting.
+
+        Returns the operator ``A = P K P + (I - P)`` and the right-hand side
+        ``b = P (f - K g) + g``, where ``P`` zeroes the constrained DoFs and
+        ``g`` holds their prescribed values.  ``A x = b`` has the solution of
+        the lifted system, and ``A`` stays symmetric positive definite, so
+        both GMRES and CG apply.
+        """
+        prescribed = np.zeros(self.shape[0])
+        prescribed[bc.dofs] = bc.values
+        masked_rhs = np.asarray(rhs, dtype=float) - self._stiffness_product(prescribed)
+        masked_rhs[bc.dofs] = bc.values
+        masked = GlobalOperator(
+            self.element_stiffness, self.codes, self.dofs, constrained=bc.dofs
+        )
+        return masked, masked_rhs
+
+
 @dataclass
 class GlobalStage:
     """Assembles and solves the reduced array-level problem.
@@ -99,7 +246,7 @@ class GlobalStage:
         Material library (used for stress reconstruction).
     solver_options:
         Options of the global linear solve.  The default follows the paper
-        and uses GMRES; ``"direct"`` is also supported.
+        and uses GMRES; ``"cg"`` and ``"direct"`` are also supported.
     """
 
     roms: dict[BlockKind, ReducedOrderModel]
@@ -113,23 +260,45 @@ class GlobalStage:
     # ------------------------------------------------------------------ #
     def assemble(
         self, layout: TSVArrayLayout, delta_t: float
-    ) -> tuple[sp.csr_matrix, np.ndarray, GlobalDofManager]:
-        """Assemble the global stiffness matrix and load vector of a layout.
+    ) -> tuple[GlobalOperator, np.ndarray, GlobalDofManager]:
+        """The global stiffness operator and load vector of a layout.
 
-        All per-block contributions are produced by one batched gather over
-        the stacked block DoF maps; no Python loop runs per block.  The
-        triplet ordering matches :meth:`assemble_reference` exactly, so both
-        paths build identical matrices.
+        The stiffness is returned matrix-free as a :class:`GlobalOperator`;
+        its :meth:`~GlobalOperator.tocsr` is identical to the matrix of
+        :meth:`assemble_reference`.  The load vector is accumulated with one
+        batched scatter over the stacked block DoF maps.
         """
         _check_rom_consistency(self.roms, layout, self.materials)
         manager = GlobalDofManager(layout, next(iter(self.roms.values())).scheme)
-        rows, cols, data, rhs = self.scatter_contributions(manager, layout, delta_t)
-        num_dofs = manager.num_global_dofs
-        matrix = sp.coo_matrix(
-            (data, (rows, cols)), shape=(num_dofs, num_dofs)
-        ).tocsr()
-        matrix.sum_duplicates()
-        return matrix, rhs, manager
+        operator, rhs = self._operator_and_rhs(manager, layout, delta_t)
+        return operator, rhs, manager
+
+    def _operator_and_rhs(
+        self, manager: GlobalDofManager, layout: TSVArrayLayout, delta_t: float
+    ) -> tuple[GlobalOperator, np.ndarray]:
+        # One dense stiffness/load row per block *kind*, indexed per block.
+        kind_order = list(self.roms)
+        kind_codes = {kind: code for code, kind in enumerate(kind_order)}
+        codes = np.fromiter(
+            (kind_codes[kind] for kind in layout.kinds.ravel()),
+            dtype=np.int64,
+            count=layout.num_blocks,
+        )
+        rhs_stack = np.stack(
+            [self.roms[kind].element_rhs(delta_t) for kind in kind_order]
+        )
+        dofs = manager.all_block_dof_ids()  # (num_blocks, n)
+        # bincount accumulates in input-scan order, matching the sequential
+        # per-block np.add.at of the reference loop bit for bit.
+        rhs = np.bincount(
+            dofs.ravel(),
+            weights=rhs_stack[codes].ravel(),
+            minlength=manager.num_global_dofs,
+        )
+        operator = GlobalOperator(
+            [self.roms[kind].element_stiffness for kind in kind_order], codes, dofs
+        )
+        return operator, rhs
 
     def scatter_contributions(
         self, manager: GlobalDofManager, layout: TSVArrayLayout, delta_t: float
@@ -140,34 +309,8 @@ class GlobalStage:
         block order (block 0's ``n x n`` entries first, then block 1's, ...),
         i.e. the exact order the reference per-block loop emits them in.
         """
-        n = manager.dofs_per_block
-        num_dofs = manager.num_global_dofs
-
-        # One dense stiffness/load row per block *kind*, indexed per block.
-        kind_order = list(self.roms)
-        kind_codes = {kind: code for code, kind in enumerate(kind_order)}
-        codes = np.fromiter(
-            (kind_codes[kind] for kind in layout.kinds.ravel()),
-            dtype=np.int64,
-            count=layout.num_blocks,
-        )
-        stiffness_stack = np.stack(
-            [self.roms[kind].element_stiffness.reshape(-1) for kind in kind_order]
-        )
-        rhs_stack = np.stack(
-            [self.roms[kind].element_rhs(delta_t) for kind in kind_order]
-        )
-
-        dofs = manager.all_block_dof_ids()  # (num_blocks, n)
-        rows = np.repeat(dofs, n, axis=1).ravel()
-        cols = np.tile(dofs, (1, n)).ravel()
-        data = stiffness_stack[codes].ravel()
-        # bincount accumulates in input-scan order, matching the sequential
-        # per-block np.add.at of the reference loop bit for bit.
-        rhs = np.bincount(
-            dofs.ravel(), weights=rhs_stack[codes].ravel(), minlength=num_dofs
-        )
-        return rows, cols, data, rhs
+        operator, rhs = self._operator_and_rhs(manager, layout, delta_t)
+        return (*operator.triplets(), rhs)
 
     def assemble_reference(
         self, layout: TSVArrayLayout, delta_t: float
@@ -292,8 +435,9 @@ class GlobalStage:
         """
         timings = StageTimings()
         with timings.measure("assembly"):
-            matrix, rhs, manager = self.assemble(layout, delta_t)
+            operator, rhs, manager = self.assemble(layout, delta_t)
 
+        solver = LinearSolver(self.solver_options)
         with timings.measure("boundary_conditions"):
             if isinstance(boundary_condition, DirichletBC):
                 bc = boundary_condition
@@ -309,12 +453,15 @@ class GlobalStage:
                 raise ValidationError(
                     "boundary_condition must be 'clamped', 'submodel' or a DirichletBC"
                 )
-            lifted_matrix, lifted_rhs = lift_system(matrix, rhs, bc)
+            if solver.backend.matrix_free:
+                # Krylov solves only need products: mask the constrained DoFs
+                # and never assemble the sparse matrix.
+                system, system_rhs = operator.apply_dirichlet(rhs, bc)
+            else:
+                system, system_rhs = lift_system(operator.tocsr(), rhs, bc)
 
-        solver = LinearSolver(self.solver_options)
-        start = time.perf_counter()
-        solution = solver.solve(lifted_matrix, lifted_rhs)
-        timings.add("solve", time.perf_counter() - start)
+        with timings.measure("solve"):
+            solution = solver.solve(system, system_rhs)
 
         _logger.info(
             "global stage: %dx%d blocks, %d reduced dofs, solve=%.3fs (%s)",
@@ -322,7 +469,7 @@ class GlobalStage:
             layout.cols,
             manager.num_global_dofs,
             timings.get("solve"),
-            self.solver_options.method,
+            solver.last_stats.method,
         )
         return GlobalSolution(
             layout=layout,
@@ -381,7 +528,7 @@ class GlobalStage:
         with timings.measure("assembly"):
             # Assemble at unit load; per-case right-hand sides are scaled from
             # it (the load vector is linear in delta_t, Eq. 19).
-            matrix, unit_rhs, manager = self.assemble(layout, 1.0)
+            operator, unit_rhs, manager = self.assemble(layout, 1.0)
 
         with timings.measure("boundary_conditions"):
             if isinstance(boundary_condition, DirichletBC):
@@ -420,7 +567,7 @@ class GlobalStage:
             # Lifting the matrix only needs the constrained DoF set; per-case
             # values enter through the right-hand side below.
             lifted_matrix, _ = lift_system(
-                matrix, np.zeros(manager.num_global_dofs), bcs[0]
+                operator.tocsr(), np.zeros(manager.num_global_dofs), bcs[0]
             )
 
         with timings.measure("factorize"):
@@ -616,4 +763,4 @@ class GlobalSolution:
         return self.manager.num_global_dofs
 
 
-__all__ = ["GlobalStage", "GlobalSolution"]
+__all__ = ["GlobalOperator", "GlobalStage", "GlobalSolution"]

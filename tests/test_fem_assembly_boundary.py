@@ -151,6 +151,30 @@ class TestSplitAndReduce:
             np.testing.assert_allclose(dense[dof], expected_row, atol=1e-12)
             assert lifted_rhs[dof] == pytest.approx(value)
 
+    def test_lift_equals_per_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        matrix = sp.random(60, 60, density=0.2, random_state=4, format="csr")
+        matrix = matrix + matrix.T + sp.identity(60)
+        rhs = rng.normal(size=60)
+        bc = DirichletBC(dofs=np.array([0, 7, 8, 31, 59]), values=rng.normal(size=5))
+        lifted_matrix, lifted_rhs = lift_system(matrix, rhs, bc)
+
+        # Reference: the row-by-row zeroing lift_system replaced.
+        reference = matrix.tocsr(copy=True)
+        for dof in bc.dofs:
+            reference.data[reference.indptr[dof]:reference.indptr[dof + 1]] = 0.0
+        reference = reference + sp.csr_matrix(
+            (np.ones(bc.dofs.size), (bc.dofs, bc.dofs)), shape=matrix.shape
+        )
+        diag_fix = np.zeros(60)
+        diag_fix[bc.dofs] = 1.0 - reference.diagonal()[bc.dofs]
+        reference = (reference + sp.diags(diag_fix)).tocsr()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(lifted_matrix, name), getattr(reference, name)
+            )
+        np.testing.assert_array_equal(lifted_rhs[bc.dofs], bc.values)
+
     def test_no_constraints_is_identity_operation(self, small_system):
         matrix, rhs, _ = small_system
         bc = DirichletBC.fixed(np.array([], dtype=int))

@@ -5,11 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import faults
+from repro.fem.boundary import DirichletBC
 from repro.fem.solver import SolverOptions
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.unit_block import UnitBlockGeometry
 from repro.rom.global_dofs import GlobalDofManager
-from repro.rom.global_stage import GlobalStage
+from repro.rom.global_stage import GlobalOperator, GlobalStage
 from repro.rom.reconstruction import BlockFieldSampler, block_midplane_points
 from repro.utils.validation import ValidationError
 
@@ -116,7 +118,8 @@ class TestGlobalStageAssembly:
     def test_assemble_shapes(self, rom_tsv_tiny, materials, tsv15):
         layout = TSVArrayLayout.full(tsv15, rows=2, cols=2)
         stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials)
-        matrix, rhs, manager = stage.assemble(layout, DELTA_T)
+        operator, rhs, manager = stage.assemble(layout, DELTA_T)
+        matrix = operator.tocsr()
         assert matrix.shape == (manager.num_global_dofs,) * 2
         assert rhs.shape == (manager.num_global_dofs,)
         asymmetry = abs(matrix - matrix.T).max()
@@ -171,7 +174,8 @@ class TestVectorizedAssemblyEquivalence:
     """Batched assembly must be bit-identical to the reference block loop."""
 
     def _compare(self, stage, layout):
-        matrix_v, rhs_v, manager_v = stage.assemble(layout, DELTA_T)
+        operator_v, rhs_v, manager_v = stage.assemble(layout, DELTA_T)
+        matrix_v = operator_v.tocsr()
         matrix_r, rhs_r, manager_r = stage.assemble_reference(layout, DELTA_T)
         assert manager_v.num_global_dofs == manager_r.num_global_dofs
         matrix_v.sort_indices()
@@ -192,6 +196,152 @@ class TestVectorizedAssemblyEquivalence:
             {BlockKind.TSV: rom_tsv_tiny, BlockKind.DUMMY: rom_dummy_tiny}, materials
         )
         self._compare(stage, layout)
+
+
+def _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials, options=None):
+    """A stage with TSV and dummy ROMs, and a 4x4 dummy-ring layout for it."""
+    layout = TSVArrayLayout.with_dummy_ring(
+        rom_tsv_tiny.block.tsv, rows=2, cols=2, ring_width=1
+    )
+    stage = GlobalStage(
+        {BlockKind.TSV: rom_tsv_tiny, BlockKind.DUMMY: rom_dummy_tiny},
+        materials,
+        options or SolverOptions(method="gmres", rtol=1e-9),
+    )
+    return stage, layout
+
+
+class TestGlobalOperator:
+    """The matrix-free operator must act exactly like its assembled matrix."""
+
+    def test_products_and_diagonal_match_assembled_matrix(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials
+    ):
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
+        operator, _, manager = stage.assemble(layout, DELTA_T)
+        matrix = operator.tocsr()
+        assert isinstance(operator, GlobalOperator)
+        assert operator.shape == matrix.shape == (manager.num_global_dofs,) * 2
+        assert operator.nnz == 2 * manager.dofs_per_block**2
+        x = np.random.default_rng(0).normal(size=(operator.shape[0], 2))
+        for column in x.T:
+            np.testing.assert_allclose(operator @ column, matrix @ column, rtol=1e-12)
+        np.testing.assert_allclose(operator @ x, matrix @ x, rtol=1e-12)
+        np.testing.assert_allclose(
+            operator.diagonal(), matrix.diagonal(), rtol=1e-12
+        )
+
+    def test_masked_operator_is_symmetric_with_identity_rows(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials
+    ):
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
+        operator, rhs, manager = stage.assemble(layout, DELTA_T)
+        bc = stage.clamped_top_bottom_bc(manager)
+        masked, masked_rhs = operator.apply_dirichlet(rhs, bc)
+        matrix = masked.tocsr()
+        assert abs(matrix - matrix.T).max() <= 1e-12 * abs(matrix).max()
+        constrained_rows = matrix[bc.dofs]
+        np.testing.assert_array_equal(np.diff(constrained_rows.indptr), 1)
+        np.testing.assert_array_equal(constrained_rows.indices, bc.dofs)
+        np.testing.assert_array_equal(constrained_rows.data, 1.0)
+        np.testing.assert_array_equal(masked_rhs[bc.dofs], bc.values)
+        x = np.random.default_rng(1).normal(size=masked.shape[0])
+        np.testing.assert_allclose(masked @ x, matrix @ x, rtol=1e-12)
+        np.testing.assert_allclose(masked.diagonal(), matrix.diagonal(), rtol=1e-12)
+        np.testing.assert_array_equal(masked.diagonal()[bc.dofs], 1.0)
+        np.testing.assert_array_equal(masked.tocsc().toarray(), matrix.toarray())
+
+
+def _boundary_conditions(manager):
+    """Clamped, explicit non-zero and sub-model boundary conditions."""
+    bottom = DirichletBC.from_nodes(manager.bottom_node_ids())
+    top = DirichletBC.from_nodes(manager.top_node_ids(), np.array([1e-3, 0.0, -2e-3]))
+
+    def field(points):
+        return 1e-4 * np.stack(
+            [points[:, 1], points[:, 0] - points[:, 2], points[:, 0] * 0.5], axis=1
+        )
+
+    return {
+        "clamped": ("clamped", None),
+        "explicit": (bottom.merged_with(top), None),
+        "submodel": ("submodel", field),
+    }
+
+
+class TestMatrixFreeSolve:
+    """GMRES and CG solve the masked operator; direct solves stay lifted."""
+
+    @pytest.mark.parametrize("bc_name", ["clamped", "explicit", "submodel"])
+    def test_gmres_cg_and_direct_agree(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, bc_name
+    ):
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
+        _, _, manager = stage.assemble(layout, DELTA_T)
+        bc, field = _boundary_conditions(manager)[bc_name]
+        solutions = {}
+        for method in ("direct", "gmres", "cg"):
+            stage.solver_options = SolverOptions(method=method, rtol=1e-12)
+            solution = stage.solve(layout, DELTA_T, bc, displacement_field=field)
+            assert solution.solver_stats.method == SolverOptions(method=method).effective_backend
+            solutions[method] = solution.nodal_displacement
+        direct = solutions["direct"]
+        scale = np.abs(direct).max()
+        assert scale > 0.0
+        for method in ("gmres", "cg"):
+            np.testing.assert_allclose(solutions[method], direct, atol=1e-8 * scale)
+
+    @pytest.mark.parametrize("method", ["gmres", "cg"])
+    def test_iterative_solves_never_assemble_or_lift(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, monkeypatch, method
+    ):
+        import repro.rom.global_stage as global_stage_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("iterative solve assembled a sparse matrix")
+
+        monkeypatch.setattr(global_stage_module, "lift_system", forbidden)
+        monkeypatch.setattr(GlobalOperator, "tocsr", forbidden)
+        stage, layout = _ring_stage(
+            rom_tsv_tiny, rom_dummy_tiny, materials, SolverOptions(method=method)
+        )
+        solution = stage.solve(layout, DELTA_T)
+        assert solution.solver_stats.method == method
+        assert solution.solver_stats.converged
+
+    def test_transient_backend_fault_falls_back_to_direct(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials
+    ):
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
+        plan = faults.FaultPlan(
+            rules=({"site": "fem.backends.gmres", "kind": "transient"},)
+        )
+        with faults.injected_faults(plan):
+            recovered = stage.solve(layout, DELTA_T)
+        assert plan.fired_counts() == {"fem.backends.gmres:transient": 1}
+        assert recovered.solver_stats.method == "gmres->direct-splu"
+        stage.solver_options = SolverOptions(method="direct")
+        direct = stage.solve(layout, DELTA_T).nodal_displacement
+        np.testing.assert_allclose(
+            recovered.nodal_displacement, direct, atol=1e-8 * np.abs(direct).max()
+        )
+
+    def test_unconverged_gmres_falls_back_to_direct(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials
+    ):
+        stage, layout = _ring_stage(
+            rom_tsv_tiny,
+            rom_dummy_tiny,
+            materials,
+            SolverOptions(method="gmres", max_iterations=1, gmres_restart=2),
+        )
+        recovered = stage.solve(layout, DELTA_T)
+        assert recovered.solver_stats.method == "gmres+direct-fallback"
+        stage.solver_options = SolverOptions(method="direct")
+        direct = stage.solve(layout, DELTA_T).nodal_displacement
+        np.testing.assert_allclose(
+            recovered.nodal_displacement, direct, atol=1e-8 * np.abs(direct).max()
+        )
 
 
 class TestSolveMany:
