@@ -36,7 +36,7 @@ from repro.postprocess.hotspots import analyze_hotspots
 from repro.rom.cache import ROMCache
 from repro.rom.global_stage import GlobalStage
 from repro.utils.logging import get_logger
-from repro.utils.memory import PeakMemoryTracker
+from repro.utils.memory import peak_rss_bytes
 from repro.utils.serialization import (
     load_npz_bundle,
     quarantine_file,
@@ -108,7 +108,7 @@ def execute_cases(
     )
     timer = Timer()
     shard_stats: "list[dict | None]" = [None] * len(loads)
-    with PeakMemoryTracker() as tracker, timer:
+    with timer:
         if plan is not None:
             # Out-of-core path: each load runs the Schwarz iteration over
             # the same shard plan (the plan depends only on the layout).
@@ -153,12 +153,15 @@ def execute_cases(
                     displacement_field=displacement_field,
                 )
             ]
+    # Process-wide resident-set high-water mark: one system call, no
+    # allocation tracing, and correct under the service's worker threads.
+    peak_memory = peak_rss_bytes()
     return [
         SimulationResult(
             solution=solution,
             local_stage_seconds=simulator.local_stage_seconds,
             global_stage_seconds=timer.elapsed,
-            peak_memory_bytes=tracker.peak_bytes,
+            peak_memory_bytes=peak_memory,
             shard_stats=stats_entry,
         )
         for solution, stats_entry in zip(solutions, shard_stats)
@@ -313,6 +316,33 @@ def _restore_group_checkpoint(
     return results
 
 
+def build_simulator(
+    spec: SimulationSpec,
+    *,
+    materials: MaterialLibrary | None = None,
+    rom_cache: "ROMCache | str | Path | None" = None,
+    jobs: int | None = None,
+) -> "MoreStressSimulator":
+    """The :class:`MoreStressSimulator` that :func:`run` executes ``spec`` with.
+
+    The keyword arguments have :func:`run`'s meaning.  Callers that need the
+    spec's one-shot local stage on its own (the experiment drivers build the
+    ROMs once, outside their memory brackets) call
+    :meth:`~repro.rom.workflow.MoreStressSimulator.build_roms` on it.
+    """
+    from repro.rom.workflow import MoreStressSimulator
+
+    return MoreStressSimulator(
+        spec.geometry.build_tsv(),
+        spec.materials.build_library() if materials is None else materials,
+        mesh_resolution=spec.mesh.build_resolution(),
+        nodes_per_axis=spec.mesh.nodes_per_axis,
+        solver_options=spec.solver.build_options(),
+        rom_cache=rom_cache,
+        jobs=jobs if jobs is not None else spec.solver.jobs,
+    )
+
+
 def run(
     spec: SimulationSpec,
     *,
@@ -366,17 +396,9 @@ def run(
     from repro.baselines.coarse_model import CoarseChipletModel
     from repro.geometry.package import ChipletPackage
     from repro.rom.submodeling import place_submodel
-    from repro.rom.workflow import MoreStressSimulator
 
-    library = spec.materials.build_library() if materials is None else materials
-    simulator = MoreStressSimulator(
-        spec.geometry.build_tsv(),
-        library,
-        mesh_resolution=spec.mesh.build_resolution(),
-        nodes_per_axis=spec.mesh.nodes_per_axis,
-        solver_options=spec.solver.build_options(),
-        rom_cache=rom_cache,
-        jobs=jobs if jobs is not None else spec.solver.jobs,
+    simulator = build_simulator(
+        spec, materials=materials, rom_cache=rom_cache, jobs=jobs
     )
 
     # Sub-modeling context: the chiplet package and the coarse solutions
@@ -387,7 +409,9 @@ def run(
     if spec.submodel is not None:
         package = ChipletPackage.scaled_default(spec.submodel.package_scale)
         coarse_model = CoarseChipletModel(
-            package, library, inplane_cells=spec.submodel.coarse_inplane_cells
+            package,
+            simulator.materials,
+            inplane_cells=spec.submodel.coarse_inplane_cells,
         )
 
         def coarse_for(delta_t: float) -> "CoarsePackageSolution":
@@ -517,4 +541,4 @@ def run(
     )
 
 
-__all__ = ["run", "execute_cases"]
+__all__ = ["run", "execute_cases", "build_simulator"]

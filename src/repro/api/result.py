@@ -69,6 +69,12 @@ class CaseResult:
         Index of the execution group this case was solved in.  Cases sharing
         a group were solved with **one** assembly + factorisation
         (:meth:`GlobalStage.solve_many`).
+    peak_memory_bytes:
+        Process peak RSS (``ru_maxrss``) at the end of the case group's
+        global stage, in bytes.  It is the process-wide high-water mark, not
+        an amount attributable to this case alone.  Manifests and executor
+        checkpoints written before this meaning was adopted carry the
+        global stage's peak ``tracemalloc`` bytes in the same field.
     solver_method:
         The solver/backed actually used (from :class:`SolveStats`), e.g.
         ``"gmres"`` or ``"direct-batched"``.

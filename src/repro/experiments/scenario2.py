@@ -11,7 +11,10 @@ For every pitch the driver
      to its boundary (ground truth),
    * linear superposition with the coarse stress as background,
    * MORE-Stress with the coarse displacements applied to the global
-     interpolation nodes (paper §4.4).
+     interpolation nodes (paper §4.4).  Its ROMs are built once per pitch
+     outside every memory bracket; each location then runs as its own
+     single-case spec inside the same
+     :class:`~repro.utils.memory.PeakMemoryTracker` as the baselines.
 
 The paper's observation — superposition degrades where the background stress
 varies sharply (die corner ``loc3``, interposer corner ``loc5``) while
@@ -24,11 +27,15 @@ from dataclasses import dataclass
 
 from repro.analysis.metrics import normalized_mae
 from repro.analysis.reporting import ResultTable, format_bytes, format_seconds
-from repro.api import run as run_spec
 from repro.baselines.coarse_model import CoarseChipletModel
 from repro.baselines.full_fem import FullFEMReference
 from repro.baselines.linear_superposition import LinearSuperpositionMethod
 from repro.experiments.config import Scenario2Config
+from repro.experiments.rom_leg import (
+    build_local_stage,
+    run_tracked_case,
+    shared_rom_cache,
+)
 from repro.geometry.package import ChipletPackage
 from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import MaterialLibrary
@@ -56,6 +63,7 @@ class Scenario2Record:
     superposition_peak_bytes: int
     superposition_error: float
     # MORE-Stress sub-modeling
+    rom_local_stage_seconds: float
     rom_global_stage_seconds: float
     rom_peak_bytes: int
     rom_error: float
@@ -85,9 +93,11 @@ def run_scenario2(
     """Run the embedded-array (sub-modeling) study and return per-case records.
 
     ``rom_cache`` (a :class:`~repro.rom.cache.ROMCache` or directory) lets
-    repeat runs reuse the per-pitch TSV/dummy ROM pairs.  ``jobs`` runs the
+    repeat runs reuse the per-pitch TSV/dummy ROM pairs; without it the ROMs
+    go to a temporary cache removed afterwards.  ``jobs`` runs the
     independent per-pitch sweeps concurrently (``None`` = one worker per
-    CPU); records keep the serial ordering.
+    CPU); records keep the serial ordering, but concurrent memory brackets
+    include each other's allocations.
     """
     config = config or Scenario2Config.small()
     materials = materials or MaterialLibrary.default()
@@ -122,19 +132,17 @@ def run_scenario2(
         background_stress = coarse_solution.stress_field_per_unit_load()
         displacement_field = coarse_solution.displacement_field()
 
-        # The MORE-Stress leg runs through the declarative executor: one spec
-        # per pitch carries every package location, sharing the ROMs and the
-        # already-solved coarse package model.
-        rom_run = run_spec(
-            config.to_spec(pitch=pitch),
-            materials=materials,
-            rom_cache=rom_cache,
+        spec = config.to_spec(pitch=pitch)
+        # One-shot local stage (TSV + dummy ROMs) once per pitch, outside
+        # every memory bracket; each location loads them from the cache.
+        local_stage_seconds = build_local_stage(
+            spec,
+            materials,
+            cache,
             jobs=inner_jobs,
-            coarse_solution=coarse_solution,
+            include_dummy=config.dummy_ring_width > 0,
         )
-
-        for location_name in config.locations:
-            case = rom_run.case(location_name)
+        for location_name, load_case in zip(config.locations, spec.load_cases):
             _, layout = place_submodel(
                 tsv,
                 package,
@@ -161,6 +169,14 @@ def run_scenario2(
             )
             superposition_vm = estimate.von_mises_midplane()
 
+            case, rom_peak_bytes = run_tracked_case(
+                spec,
+                load_case,
+                materials=materials,
+                rom_cache=cache,
+                jobs=inner_jobs,
+                coarse_solution=coarse_solution,
+            )
             records.append(
                 Scenario2Record(
                     pitch=pitch,
@@ -173,14 +189,16 @@ def run_scenario2(
                     superposition_seconds=estimate.estimation_seconds,
                     superposition_peak_bytes=estimate.peak_memory_bytes,
                     superposition_error=normalized_mae(superposition_vm, reference_vm),
+                    rom_local_stage_seconds=local_stage_seconds,
                     rom_global_stage_seconds=case.global_stage_seconds,
-                    rom_peak_bytes=case.peak_memory_bytes,
+                    rom_peak_bytes=rom_peak_bytes,
                     rom_error=normalized_mae(case.von_mises, reference_vm),
                 )
             )
         return records
 
-    per_pitch = parallel_map(run_pitch, config.pitches, jobs=outer_jobs)
+    with shared_rom_cache(rom_cache) as cache:
+        per_pitch = parallel_map(run_pitch, config.pitches, jobs=outer_jobs)
     return [record for pitch_records in per_pitch for record in pitch_records]
 
 

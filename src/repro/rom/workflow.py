@@ -53,7 +53,10 @@ class SimulationResult:
         Wall-clock time of the global stage of this simulation (the quantity
         the paper reports as its computational time).
     peak_memory_bytes:
-        Peak traced memory of the global stage.
+        Process peak RSS (``ru_maxrss``) at the end of the case group's
+        global stage, in bytes.  Manifests and executor checkpoints written
+        before this meaning was adopted carry the global stage's peak
+        ``tracemalloc`` bytes in the same field.
     shard_stats:
         Sharded-solve provenance (grid, overlap, Schwarz iterations, per-shard
         peak RSS) as the plain dict of

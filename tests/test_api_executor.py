@@ -7,6 +7,9 @@ the sweep factorizing once (visible in the solver stats) and the RunResult
 manifest surviving a save/load round trip.
 """
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,10 @@ from repro.api import (
 from repro.baselines.coarse_model import CoarseChipletModel
 from repro.geometry.package import ChipletPackage
 from repro.materials.library import MaterialLibrary
+from repro.rom.global_stage import GlobalStage
 from repro.rom.submodeling import SubModelingDriver
 from repro.rom.workflow import MoreStressSimulator
+from repro.utils.memory import peak_rss_bytes
 
 MESH = MeshSpec(resolution="tiny", nodes_per_axis=(3, 3, 3), points_per_block=5)
 
@@ -204,6 +209,56 @@ class TestRunResultPersistence:
         assert result.case("case0") is result.cases[0]
         with pytest.raises(KeyError):
             result.case("missing")
+
+
+class TestPeakMemory:
+    """``peak_memory_bytes`` is the process peak RSS; nothing traces allocations."""
+
+    def test_global_stage_runs_without_allocation_tracing(self, monkeypatch):
+        tracing = []
+        real_solve = GlobalStage.solve
+
+        def recording_solve(self, *args, **kwargs):
+            tracing.append(tracemalloc.is_tracing())
+            return real_solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(GlobalStage, "solve", recording_solve)
+        run(SimulationSpec(geometry=GeometrySpec(rows=2), mesh=MESH))
+        assert tracing == [False]
+
+    def test_peak_is_the_process_high_water_mark_and_round_trips(self, tmp_path):
+        # The high-water mark only grows: a run reports at least the RSS peak
+        # the process had reached when it was called, and at most the one
+        # after it returned.
+        at_call = peak_rss_bytes()
+        result = run(SimulationSpec(geometry=GeometrySpec(rows=2), mesh=MESH))
+        peak = result.cases[0].peak_memory_bytes
+        assert at_call <= peak <= peak_rss_bytes()
+        loaded = RunResult.load(result.save(tmp_path / "out"))
+        assert loaded.cases[0].peak_memory_bytes == peak
+        assert loaded.manifest()["cases"][0]["peak_memory_bytes"] == peak
+
+    def test_concurrent_runs_both_report_a_peak(self):
+        spec = SimulationSpec(geometry=GeometrySpec(rows=2), mesh=MESH)
+        start = threading.Barrier(2)
+        peaks: list[int] = []
+        errors: list[BaseException] = []
+
+        def worker() -> None:
+            try:
+                start.wait(10)
+                peaks.append(run(spec).cases[0].peak_memory_bytes)
+            except BaseException as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert not errors
+        assert len(peaks) == 2
+        assert all(peak > 0 for peak in peaks)
 
 
 class TestCheckpointResume:

@@ -16,6 +16,7 @@ from repro.experiments.convergence import (
 )
 from repro.experiments.scenario1 import run_scenario1, scenario1_table
 from repro.experiments.scenario2 import run_scenario2, scenario2_table
+from repro.rom.cache import ROMCache
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,67 @@ class TestScenario2Driver:
     def test_table_rendering(self, records):
         text = scenario2_table(records).to_text()
         assert "loc1" in text
+
+
+class TestRomLegMeasurement:
+    """The MORE-Stress memory column is bracketed like the baselines'.
+
+    The one-shot local stage runs once per pitch, outside the bracket, and
+    every case then loads its ROMs from the warm cache: one cache miss per
+    block kind, one hit per block kind and case.
+    """
+
+    @pytest.fixture(scope="class")
+    def scenario1_run(self, materials, tmp_path_factory):
+        cache = ROMCache(tmp_path_factory.mktemp("scenario1-roms"))
+        config = Scenario1Config(
+            pitches=(15.0,),
+            array_sizes=(2, 3),
+            mesh_resolution="tiny",
+            nodes_per_axis=(3, 3, 3),
+            points_per_block=10,
+        )
+        return run_scenario1(config, materials, rom_cache=cache), cache
+
+    @pytest.fixture(scope="class")
+    def scenario2_run(self, materials, tmp_path_factory):
+        cache = ROMCache(tmp_path_factory.mktemp("scenario2-roms"))
+        config = Scenario2Config(
+            pitches=(15.0,),
+            locations=("loc1", "loc3"),
+            array_rows=2,
+            array_cols=2,
+            dummy_ring_width=1,
+            mesh_resolution="tiny",
+            nodes_per_axis=(3, 3, 3),
+            points_per_block=10,
+            coarse_inplane_cells=10,
+        )
+        return run_scenario2(config, materials, rom_cache=cache), cache
+
+    def test_scenario1_rom_peak_below_reference(self, scenario1_run):
+        records, _ = scenario1_run
+        for record in records:
+            assert 0 < record.rom_peak_bytes < record.reference_peak_bytes
+
+    def test_scenario1_local_stage_built_once(self, scenario1_run):
+        records, cache = scenario1_run
+        assert cache.misses == 1  # the TSV block
+        assert cache.hits == len(records)
+        assert len({record.rom_local_stage_seconds for record in records}) == 1
+        assert records[0].rom_local_stage_seconds > 0
+
+    def test_scenario2_rom_peak_below_reference(self, scenario2_run):
+        records, _ = scenario2_run
+        for record in records:
+            assert 0 < record.rom_peak_bytes < record.reference_peak_bytes
+
+    def test_scenario2_local_stage_built_once(self, scenario2_run):
+        records, cache = scenario2_run
+        assert cache.misses == 2  # the TSV and dummy blocks
+        assert cache.hits == 2 * len(records)
+        assert len({record.rom_local_stage_seconds for record in records}) == 1
+        assert records[0].rom_local_stage_seconds > 0
 
 
 class TestConvergenceDriver:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 from pathlib import Path
@@ -30,6 +31,58 @@ class TestNoTrackedBytecode:
         assert offenders == [], (
             "compiled bytecode must never be committed: " + ", ".join(offenders)
         )
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    return modules
+
+
+def _mentions(tree: ast.AST, name: str) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(
+            alias.name == name for alias in node.names
+        ):
+            return True
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+    return False
+
+
+class TestAllocationTracingStaysOffTheHotPath:
+    """``tracemalloc`` hooks every allocation, so only the method comparisons
+    (baselines and experiment drivers) may turn it on, via
+    ``repro.utils.memory.PeakMemoryTracker``."""
+
+    SOURCE = REPO_ROOT / "src" / "repro"
+
+    def _trees(self):
+        for path in sorted(self.SOURCE.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+    def test_only_the_memory_module_imports_tracemalloc(self):
+        importers = [
+            path.relative_to(REPO_ROOT).as_posix()
+            for path, tree in self._trees()
+            if "tracemalloc" in _imported_modules(tree)
+        ]
+        assert importers == ["src/repro/utils/memory.py"]
+
+    def test_hot_path_packages_never_use_the_tracker(self):
+        offenders = [
+            path.relative_to(REPO_ROOT).as_posix()
+            for path, tree in self._trees()
+            if path.relative_to(self.SOURCE).parts[0] in ("api", "rom", "service")
+            and _mentions(tree, "PeakMemoryTracker")
+        ]
+        assert offenders == []
 
 
 class TestCommittedBaseline:
