@@ -21,6 +21,7 @@ from repro.api import (
     run,
 )
 from repro.postprocess import ArrayField, read_vtk_rectilinear
+from tests.test_postprocess import write_vtk_savetxt_oracle
 
 
 def _output_spec(**output_kwargs) -> SimulationSpec:
@@ -131,6 +132,18 @@ class TestPersistenceAndExports:
             pitch=15.0,
         )
         np.testing.assert_array_equal(restored.midplane_von_mises_flat(), reference)
+
+    def test_multi_case_save_matches_savetxt_oracle(self, output_result, tmp_path):
+        directory = output_result.save(tmp_path / "results")
+        exported = sorted((directory / "fields").glob("case*.vtk"))
+        assert len(exported) == len(output_result.cases) == 2
+        for path, case in zip(exported, output_result.cases):
+            oracle = write_vtk_savetxt_oracle(
+                tmp_path / f"oracle_{path.name}",
+                case.field_data,
+                title=f"{output_result.spec.name}/{case.name} delta_t={case.delta_t:g}",
+            )
+            assert path.read_bytes() == oracle.read_bytes(), path.name
 
     def test_load_round_trips_fields_and_manifest(self, output_result, tmp_path):
         directory = output_result.save(tmp_path / "results")

@@ -1,6 +1,7 @@
 """Tests for the full-field post-processing subsystem (repro.postprocess)."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +18,48 @@ from repro.postprocess import (
     reconstruct_array_field,
     write_vtk_rectilinear,
 )
+from repro.postprocess import vtk as vtk_module
+from repro.postprocess.fields import VOIGT_COMPONENTS
 from repro.rom.reconstruction import BlockFieldSampler, block_volume_points
 from repro.rom.workflow import MoreStressSimulator
 from repro.utils.validation import ValidationError
+
+
+def write_vtk_savetxt_oracle(
+    path: Path, field: ArrayField, title: str = "repro field export"
+) -> Path:
+    """Reference VTK writer: the row-by-row ``np.savetxt`` implementation.
+
+    :func:`write_vtk_rectilinear` must produce exactly these bytes for any
+    ASCII title of at most 255 characters.
+    """
+
+    def flat(array):
+        return np.ascontiguousarray(np.moveaxis(array, (0, 1, 2), (2, 1, 0))).reshape(
+            field.num_points, -1
+        )
+
+    nx, ny, nz = field.shape
+    with path.open("w", encoding="ascii") as handle:
+        handle.write("# vtk DataFile Version 3.0\n")
+        handle.write(f"{title.splitlines()[0] if title else 'repro field export'}\n")
+        handle.write("ASCII\n")
+        handle.write("DATASET RECTILINEAR_GRID\n")
+        handle.write(f"DIMENSIONS {nx} {ny} {nz}\n")
+        for name, coords in (("X", field.x), ("Y", field.y), ("Z", field.z)):
+            handle.write(f"{name}_COORDINATES {coords.size} double\n")
+            np.savetxt(handle, coords[None, :], fmt="%.17g")
+        handle.write(f"POINT_DATA {field.num_points}\n")
+        handle.write("SCALARS von_mises double 1\n")
+        handle.write("LOOKUP_TABLE default\n")
+        np.savetxt(handle, flat(field.von_mises), fmt="%.17g")
+        handle.write("VECTORS displacement double\n")
+        np.savetxt(handle, flat(field.displacement), fmt="%.17g")
+        for index, component in enumerate(VOIGT_COMPONENTS):
+            handle.write(f"SCALARS stress_{component} double 1\n")
+            handle.write("LOOKUP_TABLE default\n")
+            np.savetxt(handle, flat(field.stress[..., index]), fmt="%.17g")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +255,93 @@ class TestVTK:
         bad.write_text("not a vtk file\n")
         with pytest.raises(ValidationError):
             read_vtk_rectilinear(bad)
+
+    def test_title_is_ascii_safe(self, field_2x2, tmp_path):
+        path = write_vtk_rectilinear(
+            tmp_path / "umlaut.vtk", field_2x2, title="Wärme-sweep/abkühlen delta_t=-250"
+        )
+        expected = write_vtk_savetxt_oracle(
+            tmp_path / "oracle.vtk", field_2x2, title="W?rme-sweep/abk?hlen delta_t=-250"
+        )
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_long_title_clipped_to_header_limit(self, field_2x2, tmp_path):
+        title = "t" * 400
+        path = write_vtk_rectilinear(tmp_path / "long.vtk", field_2x2, title=title)
+        assert path.read_bytes().split(b"\n")[1] == b"t" * 255
+        expected = write_vtk_savetxt_oracle(tmp_path / "oracle.vtk", field_2x2, title[:255])
+        assert path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        ("title", "header"),
+        [
+            ("first\nsecond", b"first"),
+            ("", b"repro field export"),
+            ("\nsecond", b"repro field export"),
+            ("  \t", b"repro field export"),
+        ],
+    )
+    def test_title_keeps_first_line_or_falls_back(self, field_2x2, tmp_path, title, header):
+        path = write_vtk_rectilinear(tmp_path / "title.vtk", field_2x2, title=title)
+        assert path.read_bytes().split(b"\n")[1] == header
+
+    def test_failed_write_leaves_no_partial_file(self, field_2x2, tmp_path, monkeypatch):
+        def broken(array):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(vtk_module, "_flat_point_order", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            write_vtk_rectilinear(tmp_path / "partial.vtk", field_2x2)
+        assert list(tmp_path.iterdir()) == []
+
+
+def _column_field(values: np.ndarray) -> ArrayField:
+    """A one-block, one-point-per-plane field: ``values.size`` points along z."""
+    count = values.size
+    return ArrayField(
+        x=[-0.0],
+        y=[1e300],
+        z=np.arange(count, dtype=float),
+        displacement=np.stack([values, -values, values[::-1]], axis=-1).reshape(1, 1, count, 3),
+        stress=np.stack([values * k for k in range(1, 7)], axis=-1).reshape(1, 1, count, 6),
+        von_mises=values.reshape(1, 1, count),
+        tsv_mask=[[True]],
+        delta_t=-250.0,
+        points_per_block=1,
+        pitch=10.0,
+    )
+
+
+class TestVTKBytesMatchSavetxt:
+    """The block writer is byte-identical to the ``np.savetxt`` oracle."""
+
+    SPECIAL = np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 3.0, -7.0, 0.1, 1 / 3]
+    )
+
+    def _assert_matches(self, field, tmp_path, title="repro field export"):
+        written = write_vtk_rectilinear(tmp_path / "blocks.vtk", field, title=title)
+        oracle = write_vtk_savetxt_oracle(tmp_path / "oracle.vtk", field, title=title)
+        assert written.read_bytes() == oracle.read_bytes()
+
+    def test_special_values(self, tmp_path):
+        field = _column_field(self.SPECIAL)
+        self._assert_matches(field, tmp_path)
+        text = (tmp_path / "blocks.vtk").read_text()
+        for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "3", "-7"):
+            assert f"\n{token}\n" in text, token
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_boundaries(self, tmp_path, offset):
+        count = vtk_module._BLOCK_ROWS + offset
+        rng = np.random.default_rng(count)
+        values = rng.standard_normal(count) * 10.0 ** rng.integers(-12, 12, count)
+        values[: self.SPECIAL.size] = self.SPECIAL
+        values[-self.SPECIAL.size :] = self.SPECIAL
+        self._assert_matches(_column_field(values), tmp_path)
+
+    def test_reconstructed_field(self, field_2x2, tmp_path):
+        self._assert_matches(field_2x2, tmp_path, title="output-run/cooldown delta_t=-250")
 
 
 def _synthetic_field() -> ArrayField:

@@ -85,6 +85,24 @@ class TestAllocationTracingStaysOffTheHotPath:
         assert offenders == []
 
 
+class TestNoPerRowTextWriters:
+    """``np.savetxt`` formats and writes one row per Python call; exports
+    stream through :mod:`repro.postprocess.vtk`'s block writer instead."""
+
+    def test_no_module_calls_savetxt(self):
+        offenders = []
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "savetxt":
+                    offenders.append(f"{path.relative_to(REPO_ROOT).as_posix()}:{node.lineno}")
+        assert offenders == []
+
+
 class TestCommittedBaseline:
     def test_baseline_parses_and_every_entry_is_justified(self):
         path = REPO_ROOT / ".repro-lint-baseline.json"
