@@ -5,7 +5,9 @@ from repro.fem.element import (
     shape_functions,
     shape_function_gradients,
     element_stiffness,
+    element_stiffness_batch,
     element_thermal_load,
+    element_thermal_load_batch,
     strain_displacement_matrix,
 )
 from repro.fem.elasticity import ElementMaterialData, material_arrays_for_mesh
@@ -27,7 +29,9 @@ __all__ = [
     "shape_functions",
     "shape_function_gradients",
     "element_stiffness",
+    "element_stiffness_batch",
     "element_thermal_load",
+    "element_thermal_load_batch",
     "strain_displacement_matrix",
     "ElementMaterialData",
     "material_arrays_for_mesh",

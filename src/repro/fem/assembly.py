@@ -2,10 +2,11 @@
 
 Assembly exploits the tensor-product structure of the meshes: the element
 stiffness matrix of an axis-aligned hex8 element depends only on its box size
-and its material, so elements are grouped by ``(dx, dy, dz, material tag)``
-and each distinct element matrix is computed exactly once.  Scatter into the
-sparse global matrix is chunked to bound peak memory on multi-million-DoF
-reference meshes.
+and its material, so elements are grouped by ``(dx, dy, dz, material tag)``.
+One call of the batched kernels in :mod:`repro.fem.element` then evaluates the
+matrices (and load vectors) of all groups together, with no Python loop over
+groups.  Scatter into the sparse global matrix is chunked to bound peak memory
+on multi-million-DoF reference meshes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.element import element_stiffness, element_thermal_load
+from repro.fem.element import element_stiffness_batch, element_thermal_load_batch
 from repro.fem.elasticity import ElementMaterialData, material_arrays_for_mesh
 from repro.materials.library import MaterialLibrary
 from repro.mesh.structured import StructuredHexMesh
@@ -100,12 +101,9 @@ def assemble_stiffness(
     if material_data is None:
         material_data = material_arrays_for_mesh(mesh, materials)
     group_of_element, group_sizes, group_tag_index = _element_groups(mesh, material_data)
-
-    num_groups = group_sizes.shape[0]
-    ke_per_group = np.empty((num_groups, 24, 24), dtype=np.float64)
-    for group in range(num_groups):
-        d_matrix = material_data.d_matrices[group_tag_index[group]]
-        ke_per_group[group] = element_stiffness(tuple(group_sizes[group]), d_matrix)
+    ke_per_group = element_stiffness_batch(
+        group_sizes, group_tag_index, material_data.d_matrices
+    )
 
     connectivity = mesh.element_connectivity()
     dof_map = element_dof_map(connectivity)
@@ -146,17 +144,12 @@ def assemble_thermal_load(
     if material_data is None:
         material_data = material_arrays_for_mesh(mesh, materials)
     group_of_element, group_sizes, group_tag_index = _element_groups(mesh, material_data)
-    thermal_strain_unit = material_data.thermal_strain_unit()
-
-    num_groups = group_sizes.shape[0]
-    fe_per_group = np.empty((num_groups, 24), dtype=np.float64)
-    for group in range(num_groups):
-        tag_index = int(group_tag_index[group])
-        fe_per_group[group] = element_thermal_load(
-            tuple(group_sizes[group]),
-            material_data.d_matrices[tag_index],
-            thermal_strain_unit[tag_index],
-        )
+    fe_per_group = element_thermal_load_batch(
+        group_sizes,
+        group_tag_index,
+        material_data.d_matrices,
+        material_data.thermal_strain_unit(),
+    )
 
     connectivity = mesh.element_connectivity()
     dof_map = element_dof_map(connectivity)

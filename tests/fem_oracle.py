@@ -1,0 +1,99 @@
+"""Reference oracle for the batched hex8 kernels and the assembly built on them.
+
+These are the per-element kernels and the per-group assembly loops the
+package used before the kernels were batched: one 4-operand ``einsum`` per
+``(dx, dy, dz, material)`` group.  They are kept here, outside ``src/``, only
+so tests can assert that the batched path reproduces them bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from repro.fem.assembly import _element_groups, element_dof_map
+from repro.fem.elasticity import material_arrays_for_mesh
+from repro.fem.element import (
+    gauss_points_2x2x2,
+    shape_function_gradients,
+    strain_displacement_matrix,
+)
+
+
+def _b_matrices(element_size):
+    dx, dy, dz = (float(s) for s in element_size)
+    pts, weights = gauss_points_2x2x2()
+    grad = shape_function_gradients(pts, np.array([dx, dy, dz], dtype=np.float64))
+    return strain_displacement_matrix(grad), weights, dx * dy * dz / 8.0
+
+
+def oracle_element_stiffness(element_size, d_matrix):
+    """The 24x24 stiffness of one box, as one 4-operand ``einsum``."""
+    b, weights, det_j = _b_matrices(element_size)
+    d = np.asarray(d_matrix, dtype=np.float64)
+    bt = np.transpose(b, (0, 2, 1))
+    ke = np.einsum("gai,ij,gbj,g->ab", bt, d, bt, weights)
+    ke = ke * det_j
+    return 0.5 * (ke + np.transpose(ke, (1, 0)))
+
+
+def oracle_element_thermal_load(element_size, d_matrix, thermal_strain):
+    """The 24-entry thermal load of one box."""
+    b, weights, det_j = _b_matrices(element_size)
+    stress_like = np.matmul(
+        np.asarray(d_matrix, dtype=np.float64), np.asarray(thermal_strain, dtype=np.float64)
+    )
+    fe = np.einsum("gij,i,g->j", b, stress_like, weights)
+    return fe * det_j
+
+
+def oracle_assemble_stiffness(mesh, materials, material_data=None, chunk_size=20_000):
+    """Global stiffness with one kernel call per element group."""
+    if material_data is None:
+        material_data = material_arrays_for_mesh(mesh, materials)
+    group_of_element, group_sizes, group_tag_index = _element_groups(mesh, material_data)
+
+    num_groups = group_sizes.shape[0]
+    ke_per_group = np.empty((num_groups, 24, 24), dtype=np.float64)
+    for group in range(num_groups):
+        d_matrix = material_data.d_matrices[group_tag_index[group]]
+        ke_per_group[group] = oracle_element_stiffness(tuple(group_sizes[group]), d_matrix)
+
+    dof_map = element_dof_map(mesh.element_connectivity())
+    ndofs = mesh.num_dofs
+    matrix = sp.csr_matrix((ndofs, ndofs), dtype=float)
+    num_elements = mesh.num_elements
+    for start in range(0, num_elements, chunk_size):
+        stop = min(start + chunk_size, num_elements)
+        dofs = dof_map[start:stop]
+        ke = ke_per_group[group_of_element[start:stop]]
+        rows = np.repeat(dofs, 24, axis=1).ravel()
+        cols = np.tile(dofs, (1, 24)).ravel()
+        data = ke.reshape(stop - start, -1).ravel()
+        chunk = sp.coo_matrix((data, (rows, cols)), shape=(ndofs, ndofs))
+        matrix = matrix + chunk.tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
+def oracle_assemble_thermal_load(mesh, materials, material_data=None):
+    """Global unit thermal load with one kernel call per element group."""
+    if material_data is None:
+        material_data = material_arrays_for_mesh(mesh, materials)
+    group_of_element, group_sizes, group_tag_index = _element_groups(mesh, material_data)
+    thermal_strain_unit = material_data.thermal_strain_unit()
+
+    num_groups = group_sizes.shape[0]
+    fe_per_group = np.empty((num_groups, 24), dtype=np.float64)
+    for group in range(num_groups):
+        tag_index = int(group_tag_index[group])
+        fe_per_group[group] = oracle_element_thermal_load(
+            tuple(group_sizes[group]),
+            material_data.d_matrices[tag_index],
+            thermal_strain_unit[tag_index],
+        )
+
+    dof_map = element_dof_map(mesh.element_connectivity())
+    load = np.zeros(mesh.num_dofs, dtype=float)
+    np.add.at(load, dof_map.ravel(), fe_per_group[group_of_element].ravel())
+    return load

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.fem.element as element_module
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load, element_dof_map
 from repro.fem.boundary import DirichletBC, lift_system, reduce_system, split_system
 from repro.fem.elasticity import material_arrays_for_mesh
+from repro.geometry.unit_block import UnitBlockGeometry
 from repro.mesh.block_mesher import mesh_unit_block
 from repro.utils.validation import ValidationError
+from tests.fem_oracle import oracle_assemble_stiffness, oracle_assemble_thermal_load
 
 
 class TestElementDofMap:
@@ -66,6 +69,35 @@ class TestAssembly:
         load = assemble_thermal_load(mesh, materials)
         assert np.all(np.isfinite(load))
         assert np.abs(load).max() > 0.0
+
+
+class TestAssemblyMatchesPerGroupOracle:
+    """Batched assembly is bit-identical to the per-group kernel loop."""
+
+    @pytest.fixture(scope="class")
+    def medium_case(self, tsv10, materials):
+        # The graded ``medium`` TSV block at 10 um pitch has 900 element groups.
+        mesh = mesh_unit_block(UnitBlockGeometry(tsv=tsv10, has_tsv=True), "medium")
+        data = material_arrays_for_mesh(mesh, materials)
+        stiffness = oracle_assemble_stiffness(mesh, materials, data)
+        load = oracle_assemble_thermal_load(mesh, materials, data)
+        return mesh, data, stiffness, load
+
+    @pytest.mark.parametrize(
+        "group_slice", [None, 7, 4096], ids=["default-slice", "slice-7", "one-slice"]
+    )
+    def test_medium_tsv_block(self, medium_case, materials, group_slice, monkeypatch):
+        mesh, data, expected_stiffness, expected_load = medium_case
+        assert data.num_tags == 3
+        assert len(np.unique(expected_stiffness.data)) > 1
+        if group_slice is not None:
+            monkeypatch.setattr(element_module, "_GROUP_SLICE", group_slice)
+        stiffness = assemble_stiffness(mesh, materials, data)
+        load = assemble_thermal_load(mesh, materials, data)
+        assert np.array_equal(stiffness.data, expected_stiffness.data)
+        assert np.array_equal(stiffness.indices, expected_stiffness.indices)
+        assert np.array_equal(stiffness.indptr, expected_stiffness.indptr)
+        assert np.array_equal(load, expected_load)
 
 
 class TestDirichletBC:

@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 
+import repro.fem.element as element_module
+from repro.errors import ValidationError
 from repro.fem.element import (
     element_stiffness,
+    element_stiffness_batch,
     element_thermal_load,
+    element_thermal_load_batch,
     gauss_points_2x2x2,
     shape_function_gradients,
     shape_functions,
     strain_displacement_matrix,
 )
+from repro.materials.library import MaterialLibrary
 from repro.materials.material import IsotropicMaterial
+from tests.fem_oracle import oracle_element_stiffness, oracle_element_thermal_load
 
 
 @pytest.fixture
@@ -183,3 +189,131 @@ class TestDtypePolicy:
                 (1.0, 1.0, 1.0), d32.astype(np.float64), strain32.astype(np.float64)
             ),
         )
+
+
+@pytest.fixture(scope="module")
+def library_tables():
+    """``(d_matrices, unit thermal strains)`` of every default material."""
+    library = MaterialLibrary.default()
+    roles = library.roles()
+    d_matrices = np.stack([library[role].elasticity_matrix() for role in roles])
+    strains = np.stack([library[role].thermal_strain(1.0) for role in roles])
+    return d_matrices, strains
+
+
+class TestBatchKernels:
+    """The batch kernels reproduce per-element calls bit for bit."""
+
+    NUM_BOXES = 1_000
+    #: Boxes also checked against the pre-batching kernels (slower, per call).
+    NUM_ORACLE = 250
+
+    @pytest.fixture(scope="class")
+    def boxes(self):
+        return np.random.default_rng(16).uniform(0.05, 20.0, size=(self.NUM_BOXES, 3))
+
+    def test_stiffness_batch_equals_per_element_calls(self, boxes, library_tables):
+        d_matrices, _ = library_tables
+        for tag, d_matrix in enumerate(d_matrices):
+            tags = np.full(len(boxes), tag)
+            batch = element_stiffness_batch(boxes, tags, d_matrices)
+            assert batch.shape == (len(boxes), 24, 24)
+            single = np.stack([element_stiffness(box, d_matrix) for box in boxes])
+            assert np.array_equal(batch, single)
+            oracle = np.stack(
+                [oracle_element_stiffness(box, d_matrix) for box in boxes[: self.NUM_ORACLE]]
+            )
+            assert np.array_equal(batch[: self.NUM_ORACLE], oracle)
+
+    def test_thermal_load_batch_equals_per_element_calls(self, boxes, library_tables):
+        d_matrices, strains = library_tables
+        for tag, (d_matrix, strain) in enumerate(zip(d_matrices, strains)):
+            tags = np.full(len(boxes), tag)
+            batch = element_thermal_load_batch(boxes, tags, d_matrices, strains)
+            assert batch.shape == (len(boxes), 24)
+            single = np.stack([element_thermal_load(box, d_matrix, strain) for box in boxes])
+            assert np.array_equal(batch, single)
+            oracle = np.stack(
+                [
+                    oracle_element_thermal_load(box, d_matrix, strain)
+                    for box in boxes[: self.NUM_ORACLE]
+                ]
+            )
+            assert np.array_equal(batch[: self.NUM_ORACLE], oracle)
+
+    def test_mixed_materials_and_slices(self, boxes, library_tables, monkeypatch):
+        d_matrices, strains = library_tables
+        tags = np.random.default_rng(17).integers(0, len(d_matrices), size=len(boxes))
+        whole_ke = element_stiffness_batch(boxes, tags, d_matrices)
+        whole_fe = element_thermal_load_batch(boxes, tags, d_matrices, strains)
+        for group_slice in (7, 4096):
+            monkeypatch.setattr(element_module, "_GROUP_SLICE", group_slice)
+            assert np.array_equal(element_stiffness_batch(boxes, tags, d_matrices), whole_ke)
+            assert np.array_equal(
+                element_thermal_load_batch(boxes, tags, d_matrices, strains), whole_fe
+            )
+        for row in (0, 6, 7, 500, len(boxes) - 1):
+            single = element_stiffness(boxes[row], d_matrices[tags[row]])
+            assert np.array_equal(whole_ke[row], single)
+
+    def test_float32_inputs_are_promoted(self, boxes, library_tables):
+        d_matrices, strains = library_tables
+        sizes32 = boxes[:50].astype(np.float32)
+        tags = np.arange(50) % len(d_matrices)
+        ke = element_stiffness_batch(sizes32, tags, d_matrices.astype(np.float32))
+        fe = element_thermal_load_batch(
+            sizes32, tags, d_matrices.astype(np.float32), strains.astype(np.float32)
+        )
+        assert ke.dtype == np.float64 and fe.dtype == np.float64
+        sizes64 = sizes32.astype(np.float64)
+        d64 = d_matrices.astype(np.float32).astype(np.float64)
+        assert np.array_equal(ke, element_stiffness_batch(sizes64, tags, d64))
+        assert np.array_equal(
+            fe,
+            element_thermal_load_batch(
+                sizes64, tags, d64, strains.astype(np.float32).astype(np.float64)
+            ),
+        )
+
+    def test_empty_batch(self, library_tables):
+        d_matrices, strains = library_tables
+        empty = np.empty((0, 3))
+        no_tags = np.empty(0, dtype=int)
+        assert element_stiffness_batch(empty, no_tags, d_matrices).shape == (0, 24, 24)
+        assert element_thermal_load_batch(empty, no_tags, d_matrices, strains).shape == (0, 24)
+
+
+class TestSizeValidation:
+    """Degenerate boxes raise instead of returning NaN or indefinite matrices."""
+
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, np.nan, np.inf, -np.inf], ids=["zero", "negative", "nan", "inf", "-inf"]
+    )
+    def test_batch_kernels_name_the_first_bad_row(self, bad, library_tables):
+        d_matrices, strains = library_tables
+        sizes = np.ones((5, 3))
+        sizes[3, 1] = bad
+        sizes[4, 0] = bad
+        tags = np.zeros(5, dtype=int)
+        with pytest.raises(ValidationError, match="row 3 "):
+            element_stiffness_batch(sizes, tags, d_matrices)
+        with pytest.raises(ValidationError, match="row 3 "):
+            element_thermal_load_batch(sizes, tags, d_matrices, strains)
+
+    @pytest.mark.parametrize(
+        "size", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, np.nan, 1.0)],
+        ids=["zero", "negative", "nan"],
+    )
+    def test_one_row_wrappers_reject_bad_sizes(self, size, material):
+        d = material.elasticity_matrix()
+        with pytest.raises(ValidationError, match="row 0 "):
+            element_stiffness(size, d)
+        with pytest.raises(ValidationError, match="row 0 "):
+            element_thermal_load(size, d, material.thermal_strain(1.0))
+
+    def test_shape_mismatches_are_rejected(self, library_tables):
+        d_matrices, _ = library_tables
+        with pytest.raises(ValidationError, match=r"shape \(G, 3\)"):
+            element_stiffness_batch(np.ones((4, 2)), np.zeros(4, dtype=int), d_matrices)
+        with pytest.raises(ValidationError, match="tag_index"):
+            element_stiffness_batch(np.ones((4, 3)), np.zeros(3, dtype=int), d_matrices)

@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.analysis.metrics import normalized_mae
-from repro.fem.element import element_stiffness, shape_function_gradients, shape_functions
+from repro.fem.element import (
+    element_stiffness,
+    element_stiffness_batch,
+    shape_function_gradients,
+    shape_functions,
+)
 from repro.fem.fields import von_mises
+from repro.materials.library import MaterialLibrary
 from repro.materials.material import IsotropicMaterial, lame_parameters
 from repro.mesh.grading import geometric_interval, tsv_inplane_coordinates
 from repro.rom.interpolation import InterpolationScheme, lagrange_1d_values
@@ -107,6 +113,32 @@ class TestElementStiffnessProperties:
             translation = np.zeros(24)
             translation[component::3] = 1.0
             assert np.abs(ke @ translation).max() < 1e-6 * np.abs(ke).max()
+
+    @DEFAULT_SETTINGS
+    @given(
+        sizes=arrays(
+            float,
+            st.tuples(st.integers(min_value=1, max_value=12), st.just(3)),
+            elements=st.floats(min_value=0.01, max_value=50.0),
+        ),
+        data=st.data(),
+    )
+    def test_batch_rows_have_rigid_translations_in_nullspace(self, sizes, data):
+        library = MaterialLibrary.default()
+        d_matrices = np.stack([library[role].elasticity_matrix() for role in library.roles()])
+        tags = data.draw(
+            arrays(
+                np.int64,
+                sizes.shape[0],
+                elements=st.integers(min_value=0, max_value=len(d_matrices) - 1),
+            )
+        )
+        ke = element_stiffness_batch(sizes, tags, d_matrices)
+        for row in ke:
+            for component in range(3):
+                translation = np.zeros(24)
+                translation[component::3] = 1.0
+                assert np.abs(row @ translation).max() < 1e-6 * np.abs(row).max()
 
 
 class TestLagrangeProperties:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
+from repro.rom import local_stage
 from repro.rom.interpolation import InterpolationScheme
 from repro.rom.local_stage import LocalStage
 from repro.rom.rom_model import ReducedOrderModel
 from repro.utils.validation import ValidationError
+from tests.fem_oracle import oracle_assemble_stiffness, oracle_assemble_thermal_load
 
 
 class TestLocalStageBuild:
@@ -109,6 +111,15 @@ class TestLocalStageBuild:
         np.testing.assert_allclose(
             rom_small.element_stiffness, rom_big.element_stiffness, atol=1e-8
         )
+
+    def test_cold_build_bit_identical_to_per_group_oracle(
+        self, rom_tsv_tiny, materials, tsv_block, tiny_resolution, scheme_333, monkeypatch
+    ):
+        monkeypatch.setattr(local_stage, "assemble_stiffness", oracle_assemble_stiffness)
+        monkeypatch.setattr(local_stage, "assemble_thermal_load", oracle_assemble_thermal_load)
+        oracle = LocalStage(materials, tiny_resolution, scheme_333).build(tsv_block)
+        for name in ("element_stiffness", "element_load", "thermal_coupling", "basis"):
+            assert np.array_equal(getattr(rom_tsv_tiny, name), getattr(oracle, name)), name
 
 
 class TestReducedOrderModel:
