@@ -7,8 +7,9 @@ backend bundles two capabilities behind the :class:`SparseBackend` interface:
 
 * ``solve(matrix, rhs, options)`` — a one-shot solve returning the solution
   and a :class:`SolveStats` record, and
-* ``factorize(matrix)`` — a reusable factorisation for many right-hand sides
-  (the "decompose once" mode of the paper's one-shot local stage).
+* ``factorize(matrix, ordering=None)`` — a reusable factorisation for many
+  right-hand sides (the "decompose once" mode of the paper's one-shot local
+  stage), optionally in a caller-supplied fill-reducing order.
 
 Backends shipped by default:
 
@@ -66,18 +67,47 @@ class FactorizedOperator:
 
     The local stage of MORE-Stress solves the same lifted stiffness matrix
     against one right-hand side per Lagrange interpolation DoF; factorising
-    once and back-substituting many times is what makes the one-shot stage
-    cheap (paper §4.2).  Back-substitutions against an already-built operator
-    are independent of each other, which is what lets the local stage fan
-    them out across a worker pool.
+    once and back-substituting a block of right-hand sides is what makes the
+    one-shot stage cheap (paper §4.2).
+
+    ``ordering`` is an optional fill-reducing permutation of ``range(n)``
+    (e.g. the nested dissection of
+    :meth:`~repro.mesh.structured.StructuredHexMesh.nested_dissection`).
+    With it, SuperLU factorises ``matrix[p][:, p]`` in that column order
+    instead of its default COLAMD ordering, and :meth:`solve` permutes the
+    right-hand side in and the solution back out.
+
+    A matrix with non-finite entries, a singular matrix and an ordering that
+    is not a permutation raise :class:`~repro.errors.ValidationError`.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
+    def __init__(self, matrix: sp.spmatrix, ordering: np.ndarray | None = None):
         matrix = matrix.tocsc()
         if matrix.shape[0] != matrix.shape[1]:
             raise ValidationError("matrix must be square to factorise")
         self._shape = matrix.shape
-        self._lu = spla.splu(matrix)
+        size = f"{matrix.shape[0]}x{matrix.shape[1]}"
+        if not np.isfinite(matrix.data).all():
+            raise ValidationError(f"cannot factorise the {size} matrix: non-finite entries")
+        permc_spec = "COLAMD"
+        if ordering is not None:
+            ordering = np.asarray(ordering)
+            if (
+                ordering.shape != (matrix.shape[0],)
+                or not np.issubdtype(ordering.dtype, np.integer)
+                or not np.array_equal(np.sort(ordering), np.arange(matrix.shape[0]))
+            ):
+                raise ValidationError(
+                    f"ordering must be a permutation of range({matrix.shape[0]}) "
+                    f"to factorise the {size} matrix"
+                )
+            matrix = matrix[ordering][:, ordering]
+            permc_spec = "NATURAL"
+        self._ordering = ordering
+        try:
+            self._lu = spla.splu(matrix, permc_spec=permc_spec)
+        except RuntimeError as exc:
+            raise ValidationError(f"cannot factorise the {size} matrix: {exc}") from exc
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -95,7 +125,11 @@ class FactorizedOperator:
             raise ValidationError(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self._shape[0]}"
             )
-        return self._lu.solve(rhs)
+        if self._ordering is None:
+            return self._lu.solve(rhs)
+        solution = np.empty_like(rhs)
+        solution[self._ordering] = self._lu.solve(rhs[self._ordering])
+        return solution
 
 
 class _CholmodOperator:
@@ -173,14 +207,17 @@ class SparseBackend:
         """Whether the backend can run in this environment."""
         return True
 
-    def factorize(self, matrix: sp.spmatrix) -> FactorizedOperator:
+    def factorize(
+        self, matrix: sp.spmatrix, ordering: np.ndarray | None = None
+    ) -> FactorizedOperator:
         """Factorise ``matrix`` once for repeated back-substitution.
 
-        Iterative backends have no factorisation; they delegate to the
-        direct backend (the local stage always decomposes once, per the
-        paper).
+        ``ordering`` is an optional fill-reducing permutation (see
+        :class:`FactorizedOperator`).  Iterative backends have no
+        factorisation; they delegate to the direct backend (the local stage
+        always decomposes once, per the paper).
         """
-        return FactorizedOperator(matrix)
+        return FactorizedOperator(matrix, ordering)
 
     def solve(
         self, matrix: sp.spmatrix, rhs: np.ndarray, options
@@ -311,7 +348,8 @@ class CholmodBackend(SparseBackend):
         except Exception:
             return False
 
-    def factorize(self, matrix):
+    def factorize(self, matrix, ordering=None):
+        # CHOLMOD computes its own fill-reducing ordering.
         return _CholmodOperator(matrix)
 
     def solve(self, matrix, rhs, options):

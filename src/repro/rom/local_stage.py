@@ -7,11 +7,12 @@ For one unit block kind the local stage:
 2. places the Lagrange interpolation nodes on the block surface and builds
    the interpolation matrix ``L`` from the interpolation DoFs to the
    fine-mesh boundary DoFs (Eq. 14);
-3. factorises the free-free block ``A_ff`` **once** and back-substitutes one
-   right-hand side per interpolation DoF (boundary displacement = one
-   Lagrange function, ``delta_t = 0``) plus one thermal right-hand side
-   (``delta_t = 1``, zero boundary), yielding the local basis functions
-   ``f_i`` and ``f_T`` (Eq. 15);
+3. orders the free-free block ``A_ff`` by nested dissection, factorises it
+   **once** and runs one block back-substitution over one right-hand side
+   per interpolation DoF (boundary displacement = one Lagrange function,
+   ``delta_t = 0``) plus one thermal right-hand side (``delta_t = 1``, zero
+   boundary), yielding the local basis functions ``f_i`` and ``f_T``
+   (Eq. 15);
 4. projects ``A_local`` and ``b_local`` onto the basis to obtain the dense
    abstract-element stiffness matrix and load vector (Eq. 18-19).
 
@@ -59,32 +60,25 @@ class LocalStage:
         :class:`~repro.mesh.resolution.MeshResolution`).
     scheme:
         Lagrange interpolation scheme defining the reduced DoFs.
-    rhs_batch_size:
-        Number of local problems back-substituted per batch (memory knob;
-        the factorisation itself is always reused, matching the paper's
-        "decompose once, reuse for all local problems").  The batching is
-        identical for serial and parallel runs, so the snapshot solves are
-        bit-equal regardless of ``jobs``.
     cache:
         Optional :class:`~repro.rom.cache.ROMCache` (or a cache directory).
         When set, :meth:`build` first looks the configuration up in the cache
         and, on a hit, skips the local stage entirely; on a miss the freshly
         built ROM is stored for future runs.
     jobs:
-        Worker count for the embarrassingly parallel snapshot solves and for
-        independent block builds (:meth:`build_many`).  ``None`` (the
-        default) uses one worker per CPU; ``1`` runs serially.  The parallel
-        schedule never changes results, only wall-clock time.
+        Worker count for independent block builds (:meth:`build_many`,
+        :meth:`build_pair`).  ``None`` (the default) uses one worker per
+        CPU; ``1`` runs serially.  The parallel schedule never changes
+        results, only wall-clock time.
     solver_backend:
         Name of the :mod:`repro.fem.backends` backend whose factorisation the
-        snapshot solves reuse (``None`` = ``"direct-splu"``; ``"cholmod"``
+        local solves reuse (``None`` = ``"direct-splu"``; ``"cholmod"``
         is picked up automatically when requested and installed).
     """
 
     materials: MaterialLibrary
     resolution: MeshResolution | str = "coarse"
     scheme: InterpolationScheme = InterpolationScheme((4, 4, 4))
-    rhs_batch_size: int = 64
     cache: "ROMCache | str | Path | None" = None
     jobs: int | None = None
     solver_backend: str | None = None
@@ -138,7 +132,7 @@ class LocalStage:
 
         with timings.measure("local_solves"):
             basis = self._solve_local_problems(
-                a_local, b_local, split, interpolation_matrix
+                mesh, b_local, split, interpolation_matrix
             )
 
         with timings.measure("projection"):
@@ -176,9 +170,8 @@ class LocalStage:
         """Build ROMs for several independent unit blocks, one per input.
 
         The blocks are independent local stages, so with ``jobs > 1`` they
-        run concurrently on the shared worker pool (each build additionally
-        fans its own snapshot solves out).  Results are returned in input
-        order and are bit-identical to serial ``build`` calls; with a cache
+        run concurrently on the shared worker pool.  Results are returned in
+        input order and are bit-identical to serial ``build`` calls; with a cache
         configured, concurrent writers are safe (atomic rename + lockfile).
         """
         return parallel_map(self.build, list(blocks), jobs=self.jobs)
@@ -212,44 +205,36 @@ class LocalStage:
         )
 
     def _solve_local_problems(
-        self, a_local, b_local, split, interpolation_matrix
+        self, mesh, b_local, split, interpolation_matrix
     ) -> np.ndarray:
         """Solve all local Dirichlet problems with one factorisation.
 
-        The factorisation is built once; the per-boundary-mode snapshot
-        solves are independent back-substitutions against it, so with
-        ``jobs > 1`` the batches fan out across the worker pool.  Batch
-        boundaries and per-batch arithmetic are identical either way, so the
-        parallel basis is bit-equal to the serial one.
+        ``A_ff`` is factorised once, in the nested-dissection order of the
+        free nodes, and one block back-substitution solves every right-hand
+        side: ``n`` displacement columns (boundary displacement equal to one
+        Lagrange interpolation function, ``delta_t = 0``; paper Eq. 14) and
+        the thermal column (``delta_t = 1``, zero boundary displacement).
 
         Returns the basis matrix of shape ``(num_fine_dofs, n + 1)``.
         """
         n = self.scheme.num_element_dofs
-        num_dofs = a_local.shape[0]
-        basis = np.zeros((num_dofs, n + 1), dtype=float)
+        free_dofs = split.free_dofs
 
+        # Every boundary node is fully constrained, so the free DoFs come in
+        # whole-node triples and the node order expands to DoFs directly.
+        node_order = mesh.nested_dissection(free_dofs[::3] // 3)
+        dof_order = (3 * node_order[:, None] + np.arange(3)).ravel()
         backend, _ = resolve_backend(self.solver_backend or "direct-splu")
-        operator = backend.factorize(split.a_ff)
+        operator = backend.factorize(
+            split.a_ff, ordering=np.searchsorted(free_dofs, dof_order)
+        )
 
-        # Displacement basis functions f_i: boundary displacement equal to one
-        # Lagrange interpolation function, delta_t = 0 (paper Eq. 14).
-        batch = max(1, int(self.rhs_batch_size))
-
-        def solve_batch(start: int):
-            stop = min(start + batch, n)
-            boundary_block = interpolation_matrix[:, start:stop]
-            rhs = -split.a_fb @ boundary_block
-            return start, stop, boundary_block, operator.solve(rhs)
-
-        for start, stop, boundary_block, free_block in parallel_map(
-            solve_batch, range(0, n, batch), jobs=self.jobs
-        ):
-            basis[split.free_dofs, start:stop] = free_block
-            basis[split.constrained_dofs, start:stop] = boundary_block
-
-        # Thermal basis function f_T: delta_t = 1, zero boundary displacement.
-        rhs_thermal = np.asarray(b_local, dtype=float)[split.free_dofs]
-        basis[split.free_dofs, n] = operator.solve(rhs_thermal)
+        rhs = np.empty((free_dofs.size, n + 1))
+        rhs[:, :n] = -(split.a_fb @ interpolation_matrix)
+        rhs[:, n] = np.asarray(b_local, dtype=float)[free_dofs]
+        basis = np.zeros((mesh.num_dofs, n + 1))
+        basis[free_dofs] = operator.solve(rhs)
+        basis[split.constrained_dofs, :n] = interpolation_matrix
         return basis
 
 

@@ -133,8 +133,8 @@ class MoreStressSimulator:
         of this configuration was already built — by this process or any
         earlier one sharing the cache directory.
     jobs:
-        Worker count for the parallel parts of the local stage (snapshot
-        solves, independent block builds).  ``None`` uses one worker per
+        Worker count for independent local-stage block builds (e.g. the
+        TSV and dummy ROMs of sub-modeling).  ``None`` uses one worker per
         CPU; results are bit-identical to ``jobs=1``.
     solver_backend:
         Optional :mod:`repro.fem.backends` backend name applied to both

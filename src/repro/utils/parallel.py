@@ -1,9 +1,8 @@
 """Shared worker-pool helpers.
 
 One small, order-preserving ``parallel_map`` serves every embarrassingly
-parallel loop in the package: the local stage's per-boundary-mode snapshot
-solves, independent unit-block ROM builds, load-sweep cases and experiment
-scenario sweeps.  The default worker count follows ``--jobs N`` semantics
+parallel loop in the package: independent unit-block ROM builds, load-sweep
+cases and experiment scenario sweeps.  The default worker count follows ``--jobs N`` semantics
 (``None`` means one worker per CPU), and ``jobs=1`` degrades to a plain
 serial loop so callers pay no pool overhead — and produce byte-for-byte the
 same results — when parallelism is off.

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.fem.assembly import assemble_stiffness
+from repro.fem.boundary import DirichletBC, split_system
+from repro.geometry.tsv import TSVGeometry
+from repro.geometry.unit_block import UnitBlockGeometry
+from repro.mesh.block_mesher import mesh_unit_block
 from repro.mesh.structured import BOUNDARY_FACES, StructuredHexMesh
 from repro.utils.validation import ValidationError
 
@@ -167,3 +172,68 @@ class TestTransforms:
     def test_summary_mentions_sizes(self, small_mesh):
         text = small_mesh.summary()
         assert "3x2x1" in text and "dofs" in text
+
+
+def _free_nodes(mesh):
+    return np.setdiff1d(np.arange(mesh.num_nodes), mesh.all_boundary_node_ids())
+
+
+def _grid_indices(mesh, node_ids):
+    nnx, nny, _ = mesh.node_grid_shape
+    return np.stack([node_ids % nnx, (node_ids // nnx) % nny, node_ids // (nnx * nny)], 1)
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("resolution", ["tiny", "coarse", "medium"])
+    @pytest.mark.parametrize("has_tsv", [True, False])
+    def test_every_free_node_exactly_once(self, resolution, has_tsv):
+        block = UnitBlockGeometry(tsv=TSVGeometry.paper_default(), has_tsv=has_tsv)
+        mesh = mesh_unit_block(block, resolution)
+        free = _free_nodes(mesh)
+        order = mesh.nested_dissection(free)
+        assert order.shape == free.shape
+        assert np.array_equal(np.sort(order), free)
+
+    def test_top_level_separator_decouples_the_halves(self, materials, tsv_block):
+        mesh = mesh_unit_block(tsv_block, "coarse")
+        free = _free_nodes(mesh)
+        grid = _grid_indices(mesh, free)
+        low, high = grid.min(axis=0), grid.max(axis=0)
+        axis = int(np.argmax(high - low))
+        plane = grid[:, axis]
+        middle = (low[axis] + high[axis]) // 2
+        left, right = free[plane < middle], free[plane > middle]
+        separator = free[plane == middle]
+
+        order = mesh.nested_dissection(free)
+        assert set(order[: left.size]) == set(left)
+        assert set(order[left.size : left.size + right.size]) == set(right)
+        assert np.array_equal(order[-separator.size :], separator)
+
+        stiffness = assemble_stiffness(mesh, materials)
+        boundary_dofs = mesh.dof_ids(mesh.all_boundary_node_ids())
+        split = split_system(stiffness, DirichletBC.fixed(boundary_dofs))
+        position = {node: i for i, node in enumerate(split.free_dofs[::3] // 3)}
+
+        def free_dof_positions(nodes):
+            rows = np.array([position[node] for node in nodes])
+            return (3 * rows[:, None] + np.arange(3)).ravel()
+
+        coupling = split.a_ff[free_dof_positions(left)][:, free_dof_positions(right)]
+        assert left.size > 0 and right.size > 0
+        assert coupling.nnz == 0
+
+    def test_small_and_empty_sets_keep_their_order(self, small_mesh):
+        nodes = np.array([5, 1, 3])
+        assert np.array_equal(small_mesh.nested_dissection(nodes), nodes)
+        assert small_mesh.nested_dissection(np.array([], dtype=np.int64)).size == 0
+
+    def test_separators_follow_the_halves_they_split(self, small_mesh):
+        # 4x3x2 nodes, longest span along x (indices 0..3): the middle
+        # plane ix == 1 comes last, after ix == 0 and ix in {2, 3}.
+        order = small_mesh.nested_dissection(np.arange(small_mesh.num_nodes))
+        ix = _grid_indices(small_mesh, order)[:, 0]
+        assert np.array_equal(np.sort(order), np.arange(small_mesh.num_nodes))
+        assert set(ix[:6]) == {0}
+        assert set(ix[6:18]) == {2, 3}
+        assert set(ix[18:]) == {1}

@@ -139,3 +139,16 @@ class TestSelfHosting:
             assert justification.strip(), f"unjustified suppression: {finding}"
         # The committed baseline must not rot: no stale entries.
         assert report.stale_baseline == []
+
+
+class TestFactorizationsGoThroughTheBackends:
+    """Every sparse LU goes through ``FactorizedOperator``: its input
+    validation, its error taxonomy and the benchmark tracer's span."""
+
+    def test_splu_is_called_only_in_the_backends_module(self):
+        callers = sorted(
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "src").rglob("*.py")
+            if "splu(" in path.read_text()
+        )
+        assert callers == ["src/repro/fem/backends.py"]

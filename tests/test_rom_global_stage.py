@@ -558,6 +558,31 @@ class TestBlockFieldSampler:
 class TestBatchedFactorizationGuard:
     """solve_many must not trust a mis-factorising alternative backend."""
 
+    def test_failed_factorization_falls_back_to_direct(
+        self, rom_tsv_tiny, materials, monkeypatch
+    ):
+        import repro.rom.global_stage as global_stage_module
+
+        class RejectingBackend:
+            name = "rejecting"
+
+            def factorize(self, matrix):
+                raise ValidationError("cannot factorise the matrix: singular")
+
+        monkeypatch.setattr(
+            global_stage_module,
+            "resolve_backend",
+            lambda name: (RejectingBackend(), "rejecting"),
+        )
+        stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials)
+        layout = TSVArrayLayout.full(rom_tsv_tiny.block.tsv, rows=2)
+        reference = stage.solve(layout, DELTA_T)
+        solutions = stage.solve_many(layout, [DELTA_T])
+        assert solutions[0].solver_stats.method == "direct-batched"
+        np.testing.assert_allclose(
+            solutions[0].nodal_displacement, reference.nodal_displacement, atol=1e-8
+        )
+
     def test_bad_factorization_redone_with_direct(
         self, rom_tsv_tiny, materials, monkeypatch
     ):

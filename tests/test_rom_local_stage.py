@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from repro.fem import backends
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
 from repro.rom import local_stage
 from repro.rom.interpolation import InterpolationScheme
@@ -102,16 +104,6 @@ class TestLocalStageBuild:
         tsv_rom, dummy_rom = stage.build_pair(tsv_block)
         assert tsv_rom.block.has_tsv and not dummy_rom.block.has_tsv
 
-    def test_batched_rhs_matches_unbatched(self, materials, tsv_block, tiny_resolution, scheme_333):
-        small_batch = LocalStage(materials, tiny_resolution, scheme_333, rhs_batch_size=7)
-        rom_small = small_batch.build(tsv_block)
-        big_batch = LocalStage(materials, tiny_resolution, scheme_333, rhs_batch_size=10_000)
-        rom_big = big_batch.build(tsv_block)
-        np.testing.assert_allclose(rom_small.basis, rom_big.basis, atol=1e-10)
-        np.testing.assert_allclose(
-            rom_small.element_stiffness, rom_big.element_stiffness, atol=1e-8
-        )
-
     def test_cold_build_bit_identical_to_per_group_oracle(
         self, rom_tsv_tiny, materials, tsv_block, tiny_resolution, scheme_333, monkeypatch
     ):
@@ -120,6 +112,63 @@ class TestLocalStageBuild:
         oracle = LocalStage(materials, tiny_resolution, scheme_333).build(tsv_block)
         for name in ("element_stiffness", "element_load", "thermal_coupling", "basis"):
             assert np.array_equal(getattr(rom_tsv_tiny, name), getattr(oracle, name)), name
+
+    def test_cold_build_matches_colamd_oracle(
+        self, rom_tsv_tiny, materials, tsv_block, tiny_resolution, scheme_333, monkeypatch
+    ):
+        """The nested-dissection build agrees with plain ``splu`` (COLAMD)."""
+
+        class ColamdOperator:
+            def __init__(self, matrix):
+                self._lu = spla.splu(matrix.tocsc())
+
+            def solve(self, rhs):
+                return self._lu.solve(rhs)
+
+        monkeypatch.setattr(
+            backends.SparseBackend,
+            "factorize",
+            lambda self, matrix, ordering=None: ColamdOperator(matrix),
+        )
+        oracle = LocalStage(materials, tiny_resolution, scheme_333).build(tsv_block)
+        load_scale = np.abs(oracle.element_load).max()
+        for name, scale in (
+            ("basis", np.abs(oracle.basis).max()),
+            ("element_stiffness", np.abs(oracle.element_stiffness).max()),
+            ("element_load", load_scale),
+            # a(f_T, f_i) is zero analytically: round-off on the load's scale.
+            ("thermal_coupling", load_scale),
+        ):
+            np.testing.assert_allclose(
+                getattr(rom_tsv_tiny, name),
+                getattr(oracle, name),
+                rtol=1e-12,
+                atol=1e-12 * scale,
+                err_msg=name,
+            )
+
+    def test_one_factorization_and_one_block_back_solve(
+        self, materials, tsv_block, tiny_resolution, scheme_333, monkeypatch
+    ):
+        calls = {"factorize": [], "solve": []}
+        factorize = backends.SparseBackend.factorize
+        solve = backends.FactorizedOperator.solve
+
+        def counting_factorize(self, matrix, ordering=None):
+            calls["factorize"].append(ordering)
+            return factorize(self, matrix, ordering)
+
+        def counting_solve(self, rhs):
+            calls["solve"].append(np.shape(rhs))
+            return solve(self, rhs)
+
+        monkeypatch.setattr(backends.SparseBackend, "factorize", counting_factorize)
+        monkeypatch.setattr(backends.FactorizedOperator, "solve", counting_solve)
+        rom = LocalStage(materials, tiny_resolution, scheme_333).build(tsv_block)
+        (ordering,) = calls["factorize"]
+        num_free = rom.mesh.num_dofs - rom.mesh.dof_ids(rom.mesh.all_boundary_node_ids()).size
+        assert np.array_equal(np.sort(ordering), np.arange(num_free))
+        assert calls["solve"] == [(num_free, rom.num_element_dofs + 1)]
 
 
 class TestReducedOrderModel:
@@ -207,12 +256,8 @@ class TestParallelLocalStage:
     def test_parallel_basis_bit_identical_to_serial(
         self, materials, tsv_block, tiny_resolution, scheme_333
     ):
-        serial = LocalStage(
-            materials, tiny_resolution, scheme_333, rhs_batch_size=16, jobs=1
-        ).build(tsv_block)
-        parallel = LocalStage(
-            materials, tiny_resolution, scheme_333, rhs_batch_size=16, jobs=4
-        ).build(tsv_block)
+        serial = LocalStage(materials, tiny_resolution, scheme_333, jobs=1).build(tsv_block)
+        parallel = LocalStage(materials, tiny_resolution, scheme_333, jobs=4).build(tsv_block)
         assert np.array_equal(serial.basis, parallel.basis)
         assert np.array_equal(serial.element_stiffness, parallel.element_stiffness)
         assert np.array_equal(serial.element_load, parallel.element_load)
