@@ -9,7 +9,7 @@ large the array) and materializes
 * a legacy ``.vtk`` rectilinear grid (open it in ParaView/VisIt: the
   ``von_mises`` scalar, the ``displacement`` vector and the six
   ``stress_*`` Voigt components are point data),
-* a lossless compressed ``.npz`` bundle (``ArrayField.load`` reads it back),
+* an uncompressed ``.npz`` bundle (``ArrayField.load`` reads it back),
 * a per-TSV hotspot report: peak von Mises stress, its 3-D location and the
   keep-out radius where stress exceeds the report threshold.
 

@@ -211,7 +211,7 @@ class ArrayField:
         }
 
     def save(self, path: str | Path) -> Path:
-        """Persist the field to a compressed ``.npz`` bundle; returns the path."""
+        """Persist the field to an uncompressed ``.npz`` bundle; returns the path."""
         arrays = {
             "x": self.x,
             "y": self.y,

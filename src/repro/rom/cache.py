@@ -92,10 +92,14 @@ class ROMCache:
         the same directory to share one cache.
     max_bytes:
         Optional size cap.  When the bundles exceed it after a write, the
-        least-recently-used entries (bundle mtime; hits touch it) are evicted
-        until the cache fits again.  ``None`` (the default) never evicts.
-        Eviction is multi-process-safe: a concurrent reader of an evicted
-        bundle degrades to a miss and rebuilds.
+        least-recently-used entries are evicted until the cache fits again.
+        Recency is the bundle's atime: a write sets it and every hit touches
+        it, while mtime changes only when a bundle is rewritten.  ``None``
+        (the default) never evicts.  Eviction is multi-process-safe: a
+        concurrent reader of an evicted bundle degrades to a miss and
+        rebuilds.  Bundles are stored uncompressed, about 2-5x the size of
+        the deflated bundles written before (10.8 MB for a ``medium`` (4,4,4)
+        ROM), so a given cap holds that many fewer entries.
     hits, misses, evictions, evicted_bytes, quarantined, put_errors:
         Lookup/eviction/health statistics of this cache instance.  Counter
         updates are serialised by an internal lock so one cache instance can
@@ -268,7 +272,10 @@ class ROMCache:
         rom.check_materials(materials)
         self._record(hit=True)
         try:
-            os.utime(path)  # LRU touch: hits protect an entry from eviction
+            # LRU touch in atime only: mtime is part of the fingerprint that
+            # memoizes the bundle's digest check, so it changes only when the
+            # bundle is rewritten.
+            os.utime(path, ns=(time.time_ns(), path.stat().st_mtime_ns))
         except OSError:
             pass  # evicted or pruned concurrently; the ROM is already loaded
         _logger.info("ROM cache hit: %s", path.name)
@@ -331,13 +338,13 @@ class ROMCache:
                 stat = path.stat()
             except OSError:
                 continue
-            entries.append((stat.st_mtime, stat.st_size, path))
+            entries.append((stat.st_atime, stat.st_size, path))
         try:
             keep_size = keep.stat().st_size
         except OSError:
             keep_size = 0
         total = keep_size + sum(size for _, size, _ in entries)
-        entries.sort()  # oldest mtime first
+        entries.sort()  # least recently used (oldest atime) first
         for _, size, path in entries:
             if total <= self.max_bytes:
                 break

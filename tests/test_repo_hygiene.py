@@ -152,3 +152,19 @@ class TestFactorizationsGoThroughTheBackends:
             if "splu(" in path.read_text()
         )
         assert callers == ["src/repro/fem/backends.py"]
+
+
+class TestBundlesAreStored:
+    """Bundles are written ``ZIP_STORED``: deflate cost more than any other
+    layer of a cold ROM build, for a 2x smaller file."""
+
+    def test_no_deflating_writer_under_src(self):
+        offenders = sorted(
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "src").rglob("*.py")
+            if any(
+                word in path.read_text()
+                for word in ("savez_compressed(", "ZIP_DEFLATED")
+            )
+        )
+        assert offenders == []

@@ -1,6 +1,9 @@
 """Unit tests for the persistent ROM cache and the material fingerprint."""
 
 import dataclasses
+import os
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from repro.rom.interpolation import InterpolationScheme
 from repro.rom.local_stage import LocalStage
 from repro.rom.rom_model import ReducedOrderModel
 from repro.rom.workflow import MoreStressSimulator
+from repro.utils import serialization
+from repro.utils.serialization import count_quarantined
 from repro.utils.validation import ValidationError
 
 SCHEME_222 = InterpolationScheme((2, 2, 2))
@@ -190,6 +195,104 @@ class TestROMCache:
         assert isinstance(coerced, ROMCache)
 
 
+def _get(cache, rom, materials):
+    return cache.get(rom.block, rom.resolution, rom.scheme, materials)
+
+
+def _flip_member_byte(path, member):
+    """Flip one byte in the middle of a stored member's data, in place."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    assert info.compress_type == zipfile.ZIP_STORED
+    with open(path, "r+b") as handle:
+        handle.seek(info.header_offset + 26)  # local header: name/extra lengths
+        name_length, extra_length = struct.unpack("<HH", handle.read(4))
+        data_start = info.header_offset + 30 + name_length + extra_length
+        handle.seek(data_start + info.file_size // 2)
+        byte = handle.read(1)[0]
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte ^ 0xFF]))
+
+
+@pytest.fixture()
+def counted_digests(monkeypatch):
+    """Record every bundle content digest computed while the test runs."""
+    calls = []
+    original = serialization._arrays_digest
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(serialization, "_arrays_digest", counting)
+    return calls
+
+
+class TestStoredBundles:
+    def test_deflated_bundle_still_hits_under_the_same_key(
+        self, fast_rom, materials, tmp_path
+    ):
+        cache = ROMCache(tmp_path / "cache")
+        path = cache.put(fast_rom)
+        # Rewrite the bundle deflated, as the cache stored it before.
+        with zipfile.ZipFile(path) as archive:
+            members = [(info.filename, archive.read(info)) for info in archive.infolist()]
+        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as archive:
+            for name, data in members:
+                archive.writestr(name, data)
+
+        reader = ROMCache(tmp_path / "cache")
+        loaded = _get(reader, fast_rom, materials)
+        assert (reader.hits, reader.misses, reader.quarantined) == (1, 0, 0)
+        np.testing.assert_array_equal(loaded.basis, fast_rom.basis)
+
+    def test_warm_hits_verify_the_bundle_once(
+        self, fast_rom, materials, tmp_path, counted_digests
+    ):
+        cache = ROMCache(tmp_path / "cache")
+        cache.put(fast_rom)
+        counted_digests.clear()  # the write digests the bundle too
+        for _ in range(20):
+            assert _get(cache, fast_rom, materials) is not None
+        assert cache.hits == 20
+        assert len(counted_digests) == 1
+
+        # A rewritten bundle is a new file and must be verified again.
+        cache.put(fast_rom)
+        counted_digests.clear()
+        for _ in range(5):
+            assert _get(cache, fast_rom, materials) is not None
+        assert len(counted_digests) == 1
+
+    def test_flipped_payload_byte_is_a_quarantined_miss(
+        self, fast_rom, materials, tmp_path
+    ):
+        cache = ROMCache(tmp_path / "cache")
+        path = cache.put(fast_rom)
+        size = path.stat().st_size
+        _flip_member_byte(path, "basis.npy")
+        assert path.stat().st_size == size
+        assert _get(cache, fast_rom, materials) is None
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 1)
+        assert not path.exists()
+        assert count_quarantined(cache.directory) == 1
+
+    def test_bit_rot_after_a_verified_hit_is_caught(
+        self, fast_rom, materials, tmp_path
+    ):
+        # A flip that keeps the file's inode, size and mtime also keeps the
+        # memoized digest check skipped; the zip CRC-32 still catches it.
+        cache = ROMCache(tmp_path / "cache")
+        path = cache.put(fast_rom)
+        assert _get(cache, fast_rom, materials) is not None
+        stat = path.stat()
+        _flip_member_byte(path, "basis.npy")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert _get(cache, fast_rom, materials) is None
+        assert (cache.hits, cache.misses, cache.quarantined) == (1, 1, 1)
+        assert count_quarantined(cache.directory) == 1
+
+
 class TestMismatchedLibraryRejection:
     def test_load_roms_rejects_mismatched_library(
         self, materials, altered_materials, tsv15, tmp_path
@@ -287,8 +390,6 @@ class TestConcurrentCacheWrites:
         (tmp_path / "cache").mkdir(parents=True, exist_ok=True)
         stale = tmp_path / "cache" / f".lock-{key}"
         stale.touch()
-        import os
-
         old = 10_000.0
         os.utime(stale, (old, old))
         path = cache.put(fast_rom)  # must not dead-wait on the stale lock
@@ -322,8 +423,6 @@ class TestLRUEviction:
             ROMCache(tmp_path / "cache", max_bytes=0)
 
     def test_oldest_entry_evicted_first(self, fast_rom, tmp_path):
-        import os
-
         probe = ROMCache(tmp_path / "probe")
         size = probe.put(fast_rom).stat().st_size
         cache = ROMCache(tmp_path / "cache", max_bytes=2 * size + size // 2)
@@ -341,8 +440,6 @@ class TestLRUEviction:
         assert cache.total_bytes() <= cache.max_bytes
 
     def test_hit_touches_entry_and_protects_it(self, fast_rom, materials, tmp_path):
-        import os
-
         probe = ROMCache(tmp_path / "probe")
         size = probe.put(fast_rom).stat().st_size
         cache = ROMCache(tmp_path / "cache", max_bytes=2 * size + size // 2)

@@ -1,12 +1,14 @@
 """Unit tests for the npz bundle serialization helpers."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.errors import CorruptArtifactError
 from repro.faults import FaultPlan, SimulatedCrashError, injected_faults
+from repro.utils import serialization
 from repro.utils.serialization import (
     CHECKSUM_KEY,
     QUARANTINE_DIRNAME,
@@ -60,8 +62,6 @@ class TestNpzBundle:
         # Re-save with a changed array but the *old* metadata digest.
         _, metadata = load_npz_bundle(path)
         arrays = {"x": np.arange(4.0) + 1.0}
-        import repro.utils.serialization as serialization
-
         meta = dict(metadata)
         meta[CHECKSUM_KEY] = serialization._arrays_digest({"x": np.arange(4.0)}, meta)
         meta_json = json.dumps(meta, sort_keys=True)
@@ -75,6 +75,47 @@ class TestNpzBundle:
             load_npz_bundle(path)
         arrays_unverified, _ = load_npz_bundle(path, verify=False)
         np.testing.assert_allclose(arrays_unverified["x"], np.arange(4.0) + 1.0)
+
+    def test_members_are_stored_uncompressed(self, tmp_path):
+        path = save_npz_bundle(
+            tmp_path / "b", {"x": np.arange(64.0), "ints": np.arange(5)}, {"k": 1}
+        )
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) == [
+            "__metadata_json__.npy", "ints.npy", "x.npy",
+        ]
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+    def test_deflated_bundle_still_loads_and_verifies(self, tmp_path, monkeypatch):
+        # Bundles used to be written deflated: np.savez_compressed over the
+        # arrays plus a metadata blob carrying their content digest.
+        arrays = {"basis": np.linspace(0.0, 1.0, 50).reshape(5, 10), "ids": np.arange(7)}
+        meta = {"name": "rom", "nodes": [3, 3, 3]}
+        meta[CHECKSUM_KEY] = serialization._arrays_digest(arrays, meta)
+        payload = dict(arrays)
+        payload["__metadata_json__"] = np.frombuffer(
+            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        )
+        path = tmp_path / "deflated.npz"
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        with zipfile.ZipFile(path) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+
+        digests = []
+        original = serialization._arrays_digest
+
+        def counting_digest(*args, **kwargs):
+            digests.append(original(*args, **kwargs))
+            return digests[-1]
+
+        monkeypatch.setattr(serialization, "_arrays_digest", counting_digest)
+        loaded, loaded_meta = load_npz_bundle(path)
+        assert digests == [meta[CHECKSUM_KEY]]  # verified, and it matched
+        assert loaded_meta == {"name": "rom", "nodes": [3, 3, 3]}
+        for name, value in arrays.items():
+            assert np.array_equal(loaded[name], value)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         save_npz_bundle(tmp_path / "a", {"x": np.ones(2)}, {})
