@@ -22,7 +22,8 @@ Backends shipped by default:
     it does not converge.
 ``gmres``
     Restarted GMRES with a Jacobi preconditioner (the paper's choice for the
-    global system).
+    global system), with scipy's stopping rule and a BLAS-2 Arnoldi step
+    (see :func:`_gmres`).
 ``cholmod``
     CHOLMOD sparse Cholesky via ``scikit-sparse``, when importable.
 ``pyamg``
@@ -38,6 +39,7 @@ with a logged warning, and the substitution is recorded in
 from __future__ import annotations
 
 import importlib.util
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,26 +161,137 @@ class _CholmodOperator:
         return self._factor(rhs)
 
 
-def _jacobi_preconditioner(matrix: sp.spmatrix) -> spla.LinearOperator:
+def _jacobi_inverse_diagonal(matrix: sp.spmatrix) -> np.ndarray:
     diagonal = matrix.diagonal().astype(float).copy()
     abs_diagonal = np.abs(diagonal)
     scale = float(abs_diagonal.mean()) if abs_diagonal.size else 0.0
     if scale <= 0.0:
         # Entirely zero diagonal: fall back to the identity.
-        inverse = np.ones_like(diagonal)
-    else:
-        # Clamp entries that are zero or negligible *relative to the mean
-        # diagonal* (e.g. a nearly singular lifted row); inverting them
-        # verbatim would blow the preconditioner up by many orders of
-        # magnitude.  Clamped rows get the neutral mean-diagonal scaling.
-        near_zero = abs_diagonal < 1e-12 * scale
-        diagonal[near_zero] = scale
-        inverse = 1.0 / diagonal
+        return np.ones_like(diagonal)
+    # Clamp entries that are zero or negligible *relative to the mean
+    # diagonal* (e.g. a nearly singular lifted row); inverting them
+    # verbatim would blow the preconditioner up by many orders of
+    # magnitude.  Clamped rows get the neutral mean-diagonal scaling.
+    near_zero = abs_diagonal < 1e-12 * scale
+    diagonal[near_zero] = scale
+    return 1.0 / diagonal
+
+
+def _jacobi_preconditioner(matrix: sp.spmatrix) -> spla.LinearOperator:
+    inverse = _jacobi_inverse_diagonal(matrix)
 
     def apply(vector: np.ndarray) -> np.ndarray:
         return inverse * vector
 
     return spla.LinearOperator(matrix.shape, matvec=apply)
+
+
+def _givens(a: float, b: float) -> tuple[float, float, float]:
+    """``(c, s, r)`` with ``[c s; -s c] @ [a, b] = [r, 0]``."""
+    if b == 0.0:
+        return 1.0, 0.0, a
+    r = math.hypot(a, b)
+    return a / r, b / r, r
+
+
+def _gmres(
+    matrix,
+    rhs: np.ndarray,
+    inverse_diagonal: np.ndarray,
+    rtol: float,
+    restart: int,
+    max_cycles: int,
+) -> tuple[np.ndarray, int, int]:
+    """Left-preconditioned restarted GMRES; ``(solution, iterations, info)``.
+
+    The iteration and its stopping rule are those of
+    :func:`scipy.sparse.linalg.gmres` with ``x0 = 0`` and ``atol = 0``: an
+    inner test on the preconditioned residual estimate, an outer test
+    ``||b - A x|| <= rtol ||b||`` after each restart cycle, and the gh-8400
+    control of the inner tolerance.  ``max_cycles`` caps the restart
+    cycles; ``info`` is 0 on convergence and ``max_cycles`` otherwise.
+
+    The Krylov basis is one preallocated ``(restart + 1, n)`` array, so the
+    Arnoldi step orthogonalizes with two matrix-vector products per pass
+    (classical Gram-Schmidt, applied twice) instead of a loop of dot and
+    axpy calls over the basis vectors.
+    """
+    n = rhs.size
+    solution = np.zeros(n)
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return solution, 0, 0
+    atol = rtol * rhs_norm
+    eps = np.finfo(np.float64).eps
+    restart = min(restart, n)
+    basis = np.empty((restart + 1, n))
+    # R of the Givens-rotated Hessenberg matrix, one column per step.
+    upper = np.zeros((restart, restart))
+    ptol_factor = 1.0
+    ptol = float(np.linalg.norm(inverse_diagonal * rhs)) * min(1.0, atol / rhs_norm)
+    residual = rhs.copy()
+    residual_norm = rhs_norm
+    iterations = 0
+    for _ in range(max_cycles):
+        np.multiply(inverse_diagonal, residual, out=basis[0])
+        beta = float(np.linalg.norm(basis[0]))
+        basis[0] /= beta
+        # Right-hand side of the small least-squares problem.
+        g = [beta]
+        rotations: list[tuple[float, float]] = []
+        breakdown = False
+        for col in range(restart):
+            w = inverse_diagonal * (matrix @ basis[col])
+            w_norm = float(np.linalg.norm(w))
+            previous = basis[: col + 1]
+            h = previous @ w
+            w -= h @ previous
+            correction = previous @ w
+            w -= correction @ previous
+            h += correction
+            h_next = float(np.linalg.norm(w))
+            if h_next <= eps * w_norm:
+                # Lucky breakdown: the Krylov space holds the solution.
+                h_next = 0.0
+                breakdown = True
+            else:
+                np.multiply(w, 1.0 / h_next, out=basis[col + 1])
+            column = h.tolist()
+            for k, (c, s) in enumerate(rotations):
+                column[k], column[k + 1] = (
+                    c * column[k] + s * column[k + 1],
+                    -s * column[k] + c * column[k + 1],
+                )
+            c, s, column[col] = _givens(column[col], h_next)
+            rotations.append((c, s))
+            upper[: col + 1, col] = column
+            g.append(-s * g[col])
+            g[col] *= c
+            presid = abs(g[col + 1])
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+        size = col + 1
+        # Back-substitution on R y = g, skipping zero pivots like scipy.
+        y = np.array(g[:size])
+        if upper[col, col] == 0.0:
+            y[col] = 0.0
+        for k in range(col, -1, -1):
+            if y[k] != 0.0:
+                y[k] /= upper[k, k]
+                y[:k] -= y[k] * upper[:k, k]
+        solution += y @ basis[:size]
+        residual = rhs - matrix @ solution
+        residual_norm = float(np.linalg.norm(residual))
+        if residual_norm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            # The inner test passed but the outer did not: tighten it.
+            ptol_factor = max(eps, 0.25 * ptol_factor)
+        else:
+            ptol_factor = min(1.0, 1.5 * ptol_factor)
+        ptol = presid * min(ptol_factor, atol / residual_norm)
+    return solution, iterations, 0 if residual_norm <= atol else max_cycles
 
 
 class SparseBackend:
@@ -313,23 +426,14 @@ class JacobiGMRESBackend(_IterativeBackend):
     name = "gmres"
 
     def _run(self, matrix, rhs, options):
-        iterations = 0
-
-        def count_iterations(_):
-            nonlocal iterations
-            iterations += 1
-
-        solution, info = spla.gmres(
+        return _gmres(
             matrix,
             rhs,
-            rtol=options.rtol,
-            maxiter=options.max_iterations,
-            M=_jacobi_preconditioner(matrix),
-            restart=options.gmres_restart,
-            callback=count_iterations,
-            callback_type="pr_norm",
+            _jacobi_inverse_diagonal(matrix),
+            options.rtol,
+            options.gmres_restart,
+            options.max_iterations,
         )
-        return solution, iterations, info
 
 
 class CholmodBackend(SparseBackend):

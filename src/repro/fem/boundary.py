@@ -12,7 +12,8 @@ in the paper:
 * :func:`reduce_system` eliminates the constrained DoFs instead, producing the
   smaller symmetric positive definite system
   ``A_ff x_f = b_f - A_fb u_b`` (paper Eq. 13).  This is what the local stage
-  and the conjugate-gradient reference solver use.
+  and the conjugate-gradient reference solver use; the global stage's
+  iterative solves do the same elimination matrix-free.
 """
 
 from __future__ import annotations
@@ -193,9 +194,10 @@ def lift_system(
     Rows of ``matrix`` belonging to constrained DoFs are replaced by identity
     rows and the corresponding entries of ``rhs`` are set to the prescribed
     values.  The returned matrix is no longer symmetric, so it needs a
-    direct factorisation or GMRES, not CG.  Iterative global solves mask the
-    constrained DoFs instead (``GlobalOperator.apply_dirichlet`` in
-    :mod:`repro.rom.global_stage`), which keeps the system symmetric.
+    direct factorisation or GMRES, not CG.  Iterative global solves eliminate
+    the constrained DoFs instead, as :func:`reduce_system` does, without
+    assembling the matrix (``GlobalOperator.apply_dirichlet`` in
+    :mod:`repro.rom.global_stage`); that keeps the system symmetric.
     """
     matrix = matrix.tocsr(copy=True)
     rhs = np.asarray(rhs, dtype=float).copy()

@@ -7,9 +7,10 @@ The package needs three kinds of solves:
 * the reference full-FEM solver handles the largest systems and uses either a
   direct factorisation or preconditioned conjugate gradients;
 * the global ROM system is solved with GMRES (the paper's choice) or CG on
-  a matrix-free operator whose Dirichlet DoFs are masked, which keeps it
-  symmetric; direct factorisations get the assembled matrix with the
-  constrained rows lifted to identity rows.
+  a matrix-free operator over the free DoFs only, with the Dirichlet DoFs
+  eliminated, which keeps it symmetric positive definite; direct
+  factorisations get the assembled matrix with the constrained rows lifted
+  to identity rows.
 
 The actual numerics live in the pluggable backends of
 :mod:`repro.fem.backends` (SuperLU, Jacobi-preconditioned CG/GMRES and the
@@ -62,11 +63,12 @@ class SolverOptions:
         fallback chain at solve time; the substitution is recorded in
         :attr:`SolveStats.method` as ``"requested->actual"``.
     rtol:
-        Relative residual tolerance for the iterative methods.
+        Relative residual tolerance for the iterative methods, in ``(0, 1)``.
     max_iterations:
-        Iteration cap for the iterative methods.
+        Iteration cap for the iterative methods.  For GMRES it counts restart
+        cycles, each of up to ``gmres_restart`` Krylov steps.
     gmres_restart:
-        Restart length for GMRES.
+        Restart length for GMRES, at least 1.
     """
 
     method: str = "direct"
@@ -85,10 +87,14 @@ class SolverOptions:
             object.__setattr__(
                 self, "backend", canonical_backend_name(self.backend)
             )
-        if self.rtol <= 0.0 or self.rtol >= 1.0:
+        if not 0.0 < self.rtol < 1.0:
             raise ValidationError(f"rtol must lie in (0, 1), got {self.rtol}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
+        if self.gmres_restart < 1:
+            raise ValidationError(
+                f"gmres_restart must be >= 1, got {self.gmres_restart}"
+            )
 
     @property
     def effective_backend(self) -> str:

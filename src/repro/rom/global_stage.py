@@ -8,7 +8,8 @@ global stage sets up the array-level "abstract" finite element problem:
 * contributions are combined through the shared global interpolation-node
   numbering (:class:`~repro.rom.global_dofs.GlobalDofManager`),
 * Dirichlet conditions (clamped surfaces or sub-model boundary displacements)
-  are applied by masking (iterative solves) or lifting (direct solves), and
+  are eliminated (iterative solves, paper Eq. 13) or lifted (direct solves),
+  and
 * the system is solved with GMRES (the paper's choice), conjugate gradients
   or a direct factorisation.
 
@@ -16,7 +17,9 @@ Every block of one kind shares one dense element matrix, so the global
 stiffness is kept matrix-free as a :class:`GlobalOperator`: ``K @ u`` is a
 gather of the block DoFs, one dense product per block kind and a scatter-add.
 Its storage is one ``n x n`` matrix per kind plus the block DoF map, so GMRES
-and CG solves need O(DoFs) memory.  Direct solvers get the assembled CSR
+and CG solves need O(DoFs) memory; they iterate over the free DoFs only
+(:meth:`GlobalOperator.apply_dirichlet`) and write the prescribed values into
+the constrained DoFs exactly.  Direct solvers get the assembled CSR
 matrix from :meth:`GlobalOperator.tocsr`; it is built from COO triplets in
 the exact order of the original per-block loop, which is retained as
 :meth:`GlobalStage.assemble_reference` for equivalence tests and benchmarks.
@@ -104,9 +107,11 @@ class GlobalOperator(spla.LinearOperator):
     dofs:
         ``(num_blocks, n)`` global DoF ids of every block, as returned by
         :meth:`GlobalDofManager.all_block_dof_ids`.
-    constrained:
-        Dirichlet DoFs masked out of the operator (see
-        :meth:`apply_dirichlet`), or ``None`` for the plain stiffness matrix.
+    free:
+        Sorted global DoFs the operator acts on, or ``None`` for all of
+        them.  With ``free`` set it is the block ``K_ff`` of the stiffness
+        matrix on those DoFs, whose other rows and columns are eliminated
+        (see :meth:`apply_dirichlet`).
     """
 
     def __init__(
@@ -114,24 +119,32 @@ class GlobalOperator(spla.LinearOperator):
         element_stiffness: Sequence[np.ndarray],
         codes: np.ndarray,
         dofs: np.ndarray,
-        constrained: np.ndarray | None = None,
+        free: np.ndarray | None = None,
     ):
         self.element_stiffness = tuple(
             np.asarray(matrix, dtype=np.float64) for matrix in element_stiffness
         )
         self.codes = np.asarray(codes, dtype=np.int64)
         self.dofs = np.asarray(dofs, dtype=np.int64)
-        self.constrained = (
-            None if constrained is None else np.asarray(constrained, dtype=np.int64)
-        )
-        num_dofs = int(self.dofs.max()) + 1
-        super().__init__(dtype=np.float64, shape=(num_dofs, num_dofs))
+        self.free = None if free is None else np.asarray(free, dtype=np.int64)
+        self.num_global_dofs = int(self.dofs.max()) + 1
+        if self.free is None:
+            size, index = self.num_global_dofs, self.dofs
+        else:
+            # Position of every global DoF among the free ones; eliminated
+            # DoFs share one trailing slot that gathers zero and whose sums
+            # are dropped.
+            size = self.free.size
+            position = np.full(self.num_global_dofs, size, dtype=np.int64)
+            position[self.free] = np.arange(size)
+            index = position[self.dofs]
+        super().__init__(dtype=np.float64, shape=(size, size))
         # Blocks grouped by kind, so each kind is one dense product.
         present = [
             code for code in range(len(self.element_stiffness))
             if np.any(self.codes == code)
         ]
-        self._kind_dofs = [self.dofs[self.codes == code] for code in present]
+        self._kind_dofs = [index[self.codes == code] for code in present]
         self._kind_stiffness = [self.element_stiffness[code] for code in present]
         self._scatter = np.concatenate([dofs.ravel() for dofs in self._kind_dofs])
 
@@ -140,46 +153,38 @@ class GlobalOperator(spla.LinearOperator):
         """Number of stored matrix entries: ``n * n`` per block kind."""
         return sum(matrix.size for matrix in self.element_stiffness)
 
-    def _stiffness_product(self, x: np.ndarray) -> np.ndarray:
-        """``K @ x`` of the unmasked stiffness matrix."""
+    def _scatter_add(self, weights: np.ndarray) -> np.ndarray:
+        summed = np.bincount(self._scatter, weights=weights, minlength=self.shape[0])
+        return summed[: self.shape[0]]
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        x = np.ravel(x)
+        if self.free is not None:
+            x = np.append(x, 0.0)  # the eliminated DoFs' slot
         products = [
             (x[dofs] @ stiffness.T).ravel()
             for dofs, stiffness in zip(self._kind_dofs, self._kind_stiffness)
         ]
-        return np.bincount(
-            self._scatter, weights=np.concatenate(products), minlength=self.shape[0]
-        )
-
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.ravel(x)
-        if self.constrained is None:
-            return self._stiffness_product(x)
-        # P K P x + (I - P) x, with P the projection onto the free DoFs.
-        free_x = x.copy()
-        free_x[self.constrained] = 0.0
-        y = self._stiffness_product(free_x)
-        y[self.constrained] = x[self.constrained]
-        return y
+        return self._scatter_add(np.concatenate(products))
 
     def diagonal(self) -> np.ndarray:
         """Main diagonal, summed from the per-kind element diagonals."""
-        weights = np.concatenate(
-            [
-                np.broadcast_to(np.diag(stiffness), dofs.shape).ravel()
-                for dofs, stiffness in zip(self._kind_dofs, self._kind_stiffness)
-            ]
+        return self._scatter_add(
+            np.concatenate(
+                [
+                    np.broadcast_to(np.diag(stiffness), dofs.shape).ravel()
+                    for dofs, stiffness in zip(self._kind_dofs, self._kind_stiffness)
+                ]
+            )
         )
-        diagonal = np.bincount(self._scatter, weights=weights, minlength=self.shape[0])
-        if self.constrained is not None:
-            diagonal[self.constrained] = 1.0
-        return diagonal
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """COO ``(rows, cols, data)`` of the unmasked matrix.
+        """COO ``(rows, cols, data)`` of the full stiffness matrix.
 
         The triplets are in row-major block order (block 0's ``n x n``
         entries first, then block 1's, ...), i.e. the exact order the
-        reference per-block loop emits them in.
+        reference per-block loop emits them in.  They index global DoFs,
+        also when :attr:`free` is set.
         """
         n = self.dofs.shape[1]
         rows = np.repeat(self.dofs, n, axis=1).ravel()
@@ -190,22 +195,17 @@ class GlobalOperator(spla.LinearOperator):
         return rows, cols, stiffness_stack[self.codes].ravel()
 
     def tocsr(self) -> sp.csr_matrix:
-        """The assembled sparse matrix (masked if Dirichlet DoFs are set).
+        """The assembled sparse matrix: ``K``, or ``K[free][:, free]``.
 
         Only direct solvers need it; iterative solves use ``@`` alone.
         """
         rows, cols, data = self.triplets()
-        matrix = sp.coo_matrix((data, (rows, cols)), shape=self.shape).tocsr()
+        size = self.num_global_dofs
+        matrix = sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
         matrix.sum_duplicates()
-        if self.constrained is None:
+        if self.free is None:
             return matrix
-        free = np.ones(self.shape[0])
-        free[self.constrained] = 0.0
-        masked = (
-            sp.diags(free) @ matrix @ sp.diags(free) + sp.diags(1.0 - free)
-        ).tocsr()
-        masked.eliminate_zeros()
-        return masked
+        return matrix[self.free][:, self.free].tocsr()
 
     def tocsc(self) -> sp.csc_matrix:
         """:meth:`tocsr` in CSC format (what SuperLU factorises)."""
@@ -214,22 +214,26 @@ class GlobalOperator(spla.LinearOperator):
     def apply_dirichlet(
         self, rhs: np.ndarray, bc: DirichletBC
     ) -> tuple["GlobalOperator", np.ndarray]:
-        """Apply Dirichlet conditions by masking instead of lifting.
+        """Eliminate the Dirichlet DoFs (paper Eq. 13), matrix-free.
 
-        Returns the operator ``A = P K P + (I - P)`` and the right-hand side
-        ``b = P (f - K g) + g``, where ``P`` zeroes the constrained DoFs and
-        ``g`` holds their prescribed values.  ``A x = b`` has the solution of
-        the lifted system, and ``A`` stays symmetric positive definite, so
-        both GMRES and CG apply.
+        Returns the operator ``K_ff`` on the free DoFs and the right-hand
+        side ``(f - K g)[free]``, where ``g`` holds the prescribed values and
+        is zero elsewhere; this is :func:`~repro.fem.boundary.reduce_system`
+        without assembling ``K``.  ``K_ff`` is symmetric positive definite,
+        so both GMRES and CG apply.  The solution of the full system is the
+        solution of the reduced one at ``operator.free`` and ``bc.values`` at
+        ``bc.dofs``.
         """
-        prescribed = np.zeros(self.shape[0])
+        free = np.ones(self.num_global_dofs, dtype=bool)
+        free[bc.dofs] = False
+        free = np.flatnonzero(free)
+        prescribed = np.zeros(self.num_global_dofs)
         prescribed[bc.dofs] = bc.values
-        masked_rhs = np.asarray(rhs, dtype=float) - self._stiffness_product(prescribed)
-        masked_rhs[bc.dofs] = bc.values
-        masked = GlobalOperator(
-            self.element_stiffness, self.codes, self.dofs, constrained=bc.dofs
+        reduced_rhs = np.asarray(rhs, dtype=float) - self @ prescribed
+        reduced = GlobalOperator(
+            self.element_stiffness, self.codes, self.dofs, free=free
         )
-        return masked, masked_rhs
+        return reduced, reduced_rhs[free]
 
 
 @dataclass
@@ -453,15 +457,21 @@ class GlobalStage:
                 raise ValidationError(
                     "boundary_condition must be 'clamped', 'submodel' or a DirichletBC"
                 )
-            if solver.backend.matrix_free:
-                # Krylov solves only need products: mask the constrained DoFs
-                # and never assemble the sparse matrix.
+            eliminate = solver.backend.matrix_free
+            if eliminate:
+                # Krylov solves only need products: iterate over the free
+                # DoFs and never assemble the sparse matrix.
                 system, system_rhs = operator.apply_dirichlet(rhs, bc)
             else:
                 system, system_rhs = lift_system(operator.tocsr(), rhs, bc)
 
         with timings.measure("solve"):
             solution = solver.solve(system, system_rhs)
+            if eliminate:
+                free_values = solution
+                solution = np.empty(manager.num_global_dofs)
+                solution[system.free] = free_values
+                solution[bc.dofs] = bc.values
 
         _logger.info(
             "global stage: %dx%d blocks, %d reduced dofs, solve=%.3fs (%s)",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.fem.backends import (
     BACKEND_ALIASES,
@@ -11,6 +12,8 @@ from repro.fem.backends import (
     JacobiCGBackend,
     JacobiGMRESBackend,
     PyAMGBackend,
+    _gmres,
+    _jacobi_preconditioner,
     available_backends,
     backend_names,
     canonical_backend_name,
@@ -21,7 +24,9 @@ from repro.errors import ValidationError
 from repro.fem.assembly import assemble_stiffness
 from repro.fem.boundary import DirichletBC, split_system
 from repro.fem.solver import LinearSolver, SolverOptions
+from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.mesh.block_mesher import mesh_unit_block
+from repro.rom.global_stage import GlobalStage
 
 
 def _spd_system(n: int = 40):
@@ -227,3 +232,97 @@ class TestFactorizationErrors:
         matrix, _ = _spd_system(5)
         with pytest.raises(ValidationError, match="permutation of range\\(5\\)"):
             FactorizedOperator(matrix, ordering)
+
+
+def _scipy_gmres(matrix, rhs, options):
+    """``scipy.sparse.linalg.gmres`` with the backend's settings (the oracle)."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    solution, info = spla.gmres(
+        matrix,
+        rhs,
+        rtol=options.rtol,
+        maxiter=options.max_iterations,
+        M=_jacobi_preconditioner(matrix),
+        restart=options.gmres_restart,
+        callback=count,
+        callback_type="pr_norm",
+    )
+    return solution, iterations, info
+
+
+def _dummy_ring_system(rom_tsv_tiny, rom_dummy_tiny, materials):
+    """The eliminated global system of a 2x2 array inside a dummy ring."""
+    layout = TSVArrayLayout.with_dummy_ring(
+        rom_tsv_tiny.block.tsv, rows=2, cols=2, ring_width=1
+    )
+    stage = GlobalStage(
+        {BlockKind.TSV: rom_tsv_tiny, BlockKind.DUMMY: rom_dummy_tiny}, materials
+    )
+    operator, rhs, manager = stage.assemble(layout, -250.0)
+    return operator.apply_dirichlet(rhs, stage.clamped_top_bottom_bc(manager))
+
+
+class TestGMRES:
+    """The in-module GMRES against scipy's, which it replaces."""
+
+    def _assert_matches_scipy(self, matrix, rhs, options):
+        solution, iterations, info = JacobiGMRESBackend()._run(matrix, rhs, options)
+        expected, expected_iterations, expected_info = _scipy_gmres(
+            matrix, rhs, options
+        )
+        assert info == expected_info == 0
+        assert abs(iterations - expected_iterations) <= 2
+        np.testing.assert_allclose(
+            solution, expected, rtol=0, atol=1e-8 * np.abs(expected).max()
+        )
+        assert np.linalg.norm(matrix @ solution - rhs) <= options.rtol * np.linalg.norm(rhs)
+
+    def test_matches_scipy_on_a_nonsymmetric_matrix(self):
+        rng = np.random.default_rng(11)
+        n = 120
+        matrix = sp.csr_matrix(
+            rng.normal(size=(n, n)) + np.diag(rng.uniform(8.0, 40.0, size=n))
+        )
+        rhs = rng.normal(size=n)
+        # A restart shorter than the iteration count exercises the restarts.
+        options = SolverOptions(method="gmres", rtol=1e-10, gmres_restart=15)
+        self._assert_matches_scipy(matrix, rhs, options)
+
+    def test_matches_scipy_on_the_dummy_ring_system(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials
+    ):
+        operator, rhs = _dummy_ring_system(rom_tsv_tiny, rom_dummy_tiny, materials)
+        for restart in (100, 10):
+            options = SolverOptions(method="gmres", rtol=1e-9, gmres_restart=restart)
+            self._assert_matches_scipy(operator, rhs, options)
+
+    def test_lucky_breakdown_on_three_eigenvalues(self):
+        # Unpreconditioned: a Jacobi-scaled diagonal matrix is the identity.
+        matrix = sp.diags(np.repeat([1.0, 2.0, 5.0], 20)).tocsr()
+        rhs = np.random.default_rng(2).normal(size=60)
+        solution, iterations, info = _gmres(
+            matrix, rhs, np.ones(60), rtol=1e-12, restart=100, max_cycles=10
+        )
+        assert info == 0
+        assert iterations <= 3
+        np.testing.assert_allclose(matrix @ solution, rhs, rtol=1e-12)
+
+    def test_zero_rhs_returns_zero_without_iterating(self):
+        matrix, rhs = _spd_system()
+        solution, iterations, info = JacobiGMRESBackend()._run(
+            matrix, np.zeros_like(rhs), SolverOptions(method="gmres")
+        )
+        assert (info, iterations) == (0, 0)
+        assert not solution.any()
+
+    def test_cycle_cap_reports_nonconvergence(self):
+        matrix, rhs = _spd_system()
+        _, iterations, info = JacobiGMRESBackend()._run(
+            matrix, rhs, SolverOptions(method="gmres", max_iterations=2, gmres_restart=1)
+        )
+        assert (info, iterations) == (2, 2)

@@ -37,6 +37,15 @@ class TestSolverOptions:
         with pytest.raises(ValidationError):
             SolverOptions(max_iterations=0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValidationError, match="rtol"):
+            SolverOptions(method="gmres", rtol=float("nan"))
+
+    @pytest.mark.parametrize("restart", [0, -3])
+    def test_non_positive_gmres_restart_rejected(self, restart):
+        with pytest.raises(ValidationError, match="gmres_restart"):
+            SolverOptions(method="gmres", gmres_restart=restart)
+
 
 class TestFactorizedOperator:
     def test_single_and_block_rhs(self):

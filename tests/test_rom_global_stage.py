@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.fem.boundary import DirichletBC
+from repro.fem.boundary import DirichletBC, reduce_system
 from repro.fem.solver import SolverOptions
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.unit_block import UnitBlockGeometry
@@ -231,25 +231,26 @@ class TestGlobalOperator:
             operator.diagonal(), matrix.diagonal(), rtol=1e-12
         )
 
-    def test_masked_operator_is_symmetric_with_identity_rows(
+    def test_eliminated_operator_matches_reduce_system(
         self, rom_tsv_tiny, rom_dummy_tiny, materials
     ):
         stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
         operator, rhs, manager = stage.assemble(layout, DELTA_T)
-        bc = stage.clamped_top_bottom_bc(manager)
-        masked, masked_rhs = operator.apply_dirichlet(rhs, bc)
-        matrix = masked.tocsr()
+        bc = _boundary_conditions(manager)["explicit"][0]
+        reduced, reduced_rhs = operator.apply_dirichlet(rhs, bc)
+        a_ff, expected_rhs, split = reduce_system(operator.tocsr(), rhs, bc)
+        np.testing.assert_array_equal(reduced.free, split.free_dofs)
+        assert reduced.shape == a_ff.shape == (split.num_free,) * 2
+        matrix = reduced.tocsr()
+        assert abs(matrix - a_ff).max() <= 1e-12 * abs(a_ff).max()
         assert abs(matrix - matrix.T).max() <= 1e-12 * abs(matrix).max()
-        constrained_rows = matrix[bc.dofs]
-        np.testing.assert_array_equal(np.diff(constrained_rows.indptr), 1)
-        np.testing.assert_array_equal(constrained_rows.indices, bc.dofs)
-        np.testing.assert_array_equal(constrained_rows.data, 1.0)
-        np.testing.assert_array_equal(masked_rhs[bc.dofs], bc.values)
-        x = np.random.default_rng(1).normal(size=masked.shape[0])
-        np.testing.assert_allclose(masked @ x, matrix @ x, rtol=1e-12)
-        np.testing.assert_allclose(masked.diagonal(), matrix.diagonal(), rtol=1e-12)
-        np.testing.assert_array_equal(masked.diagonal()[bc.dofs], 1.0)
-        np.testing.assert_array_equal(masked.tocsc().toarray(), matrix.toarray())
+        scale = np.abs(expected_rhs).max()
+        np.testing.assert_allclose(reduced_rhs, expected_rhs, rtol=0, atol=1e-12 * scale)
+        x = np.random.default_rng(1).normal(size=(reduced.shape[0], 2))
+        for column in x.T:
+            np.testing.assert_allclose(reduced @ column, a_ff @ column, rtol=1e-12)
+        np.testing.assert_allclose(reduced @ x, a_ff @ x, rtol=1e-12)
+        np.testing.assert_allclose(reduced.diagonal(), a_ff.diagonal(), rtol=1e-12)
 
 
 def _boundary_conditions(manager):
@@ -270,7 +271,7 @@ def _boundary_conditions(manager):
 
 
 class TestMatrixFreeSolve:
-    """GMRES and CG solve the masked operator; direct solves stay lifted."""
+    """GMRES and CG solve the eliminated free-DoF operator; direct solves stay lifted."""
 
     @pytest.mark.parametrize("bc_name", ["clamped", "explicit", "submodel"])
     def test_gmres_cg_and_direct_agree(
@@ -290,6 +291,23 @@ class TestMatrixFreeSolve:
         assert scale > 0.0
         for method in ("gmres", "cg"):
             np.testing.assert_allclose(solutions[method], direct, atol=1e-8 * scale)
+
+    @pytest.mark.parametrize("method", ["gmres", "cg"])
+    def test_prescribed_values_are_exact_and_only_free_dofs_iterate(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, method
+    ):
+        stage, layout = _ring_stage(
+            rom_tsv_tiny, rom_dummy_tiny, materials, SolverOptions(method=method)
+        )
+        _, _, manager = stage.assemble(layout, DELTA_T)
+        bc = _boundary_conditions(manager)["explicit"][0]
+        assert np.any(bc.values != 0.0)
+        solution = stage.solve(layout, DELTA_T, bc)
+        assert solution.solver_stats.method == method
+        assert np.array_equal(solution.nodal_displacement[bc.dofs], bc.values)
+        assert solution.solver_stats.unknowns == (
+            manager.num_global_dofs - bc.num_constrained
+        )
 
     @pytest.mark.parametrize("method", ["gmres", "cg"])
     def test_iterative_solves_never_assemble_or_lift(
