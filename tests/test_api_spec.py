@@ -178,9 +178,6 @@ class TestFailureModesNameTheField:
             ({"mesh": {"nodes_per_axis": [4, 4]}}, "mesh.nodes_per_axis"),
             ({"solver": {"method": "quantum"}}, "method"),
             ({"solver": {"jobs": 0}}, "jobs"),
-            ({"solver": {"rtol": float("nan")}}, "spec.solver"),
-            ({"solver": {"gmres_restart": 0}}, "gmres_restart"),
-            ({"solver": {"gmres_restart": -1}}, "gmres_restart"),
             ({"load_cases": [{"delta_t": "cold"}]}, "load_cases[0].delta_t"),
             ({"load_cases": [{"rows": -1}]}, "rows"),
             ({"load_cases": [{"name": "a"}, {"name": "a"}]}, "load_cases[1].name"),
@@ -224,6 +221,9 @@ class TestFailureModesNameTheField:
                 },
                 "poisson_ratio",
             ),
+            ({"solver": {"rtol": float("nan")}}, "spec.solver"),
+            ({"solver": {"gmres_restart": 0}}, "gmres_restart"),
+            ({"solver": {"gmres_restart": -1}}, "gmres_restart"),
         ],
     )
     def test_bad_value_names_field(self, document, field):
