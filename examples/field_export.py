@@ -60,9 +60,12 @@ def main() -> None:
     assert field is not None
     print(f"reconstructed field: {field.shape} points, peak {field.peak_von_mises:.1f} MPa")
 
-    # The volumetric field embeds the paper's mid-plane samples bit for bit.
+    # The volumetric field embeds the paper's mid-plane samples (to
+    # round-off: the two grids sum the same operator in another order).
     midplane = case.simulation.von_mises_midplane_flat(spec.mesh.points_per_block)
-    assert np.array_equal(field.midplane_von_mises_flat(), midplane)
+    assert np.allclose(
+        field.midplane_von_mises_flat(), midplane, rtol=0, atol=1e-12 * midplane.max()
+    )
 
     # ----------------------------------------------------------------- #
     # 2. Persist.  save() archives manifest + fields; the exports live

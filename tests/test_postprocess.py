@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.fem.fields import von_mises
-from repro.geometry.array_layout import BlockKind
+from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.tsv import TSVGeometry
 from repro.postprocess import (
     ArrayField,
@@ -20,9 +20,74 @@ from repro.postprocess import (
 )
 from repro.postprocess import vtk as vtk_module
 from repro.postprocess.fields import VOIGT_COMPONENTS
+from repro.rom.global_stage import GlobalStage
 from repro.rom.reconstruction import BlockFieldSampler, block_volume_points
 from repro.rom.workflow import MoreStressSimulator
 from repro.utils.validation import ValidationError
+
+DELTA_T = -250.0
+
+
+def assert_round_off_equal(actual, expected) -> None:
+    """``actual`` matches ``expected`` to 1e-12 of the largest ``|expected|``.
+
+    Two stress paths that evaluate the same linear map in a different
+    summation order (a per-block fine field vs. a precomputed operator, or
+    the mid-plane grid vs. a volumetric grid) agree to round-off, not bit
+    for bit.
+    """
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(
+        actual, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+    )
+
+
+def oracle_field(solution, points_per_block, z_planes, restrict_to_tsv_region=True):
+    """Per-block reference of :func:`reconstruct_array_field`.
+
+    Each block's fine field comes from ``rom.reconstruct_displacement`` and
+    is sampled with the point-wise kernel of :class:`BlockFieldSampler`, one
+    block at a time.  Returns ``(displacement, stress, von_mises)`` on the
+    field's ``(nx, ny, nz)`` grid.
+    """
+    layout = solution.layout
+    region = layout.tsv_region() if restrict_to_tsv_region else None
+    row_range, col_range = region or (slice(0, layout.rows), slice(0, layout.cols))
+    rows = range(*row_range.indices(layout.rows))
+    cols = range(*col_range.indices(layout.cols))
+    p, q = points_per_block, z_planes
+    shape = (len(cols) * p, len(rows) * p, q)
+    displacement = np.empty(shape + (3,))
+    stress = np.empty(shape + (6,))
+    samplers = {}
+    for out_row, row in enumerate(rows):
+        for out_col, col in enumerate(cols):
+            kind = layout.kind_at(row, col)
+            rom = solution.roms[kind]
+            if kind not in samplers:
+                samplers[kind] = BlockFieldSampler(
+                    rom, solution.materials, block_volume_points(rom, p, q)
+                )
+            u_fine = rom.reconstruct_displacement(
+                solution.block_reduced_displacement(row, col), solution.delta_t
+            )
+            sx = slice(out_col * p, (out_col + 1) * p)
+            sy = slice(out_row * p, (out_row + 1) * p)
+            sampler = samplers[kind]
+            displacement[sx, sy] = sampler.displacement_from_fine(u_fine).reshape(p, p, q, 3)
+            stress[sx, sy] = sampler.stress_from_fine(u_fine, solution.delta_t).reshape(
+                p, p, q, 6
+            )
+    return displacement, stress, von_mises(stress)
+
+
+def assert_matches_oracle(field, solution, restrict_to_tsv_region=True) -> None:
+    displacement, stress, vm = oracle_field(
+        solution, field.points_per_block, field.z_planes, restrict_to_tsv_region
+    )
+    assert_round_off_equal(field.displacement, displacement)
+    assert_round_off_equal(field.stress, stress)
+    assert_round_off_equal(field.von_mises, vm)
 
 
 def write_vtk_savetxt_oracle(
@@ -85,39 +150,21 @@ class TestReconstruction:
         assert np.isfinite(field_2x2.stress).all()
 
     def test_midplane_bit_identical_to_reference_sampler(self, solution_2x2, field_2x2):
+        # The mid-plane path samples a one-plane grid, the field a
+        # three-plane one: the same points, summed in another order.
         reference = solution_2x2.von_mises_midplane_flat(5)
-        np.testing.assert_array_equal(field_2x2.midplane_von_mises_flat(), reference)
+        assert_round_off_equal(field_2x2.midplane_von_mises_flat(), reference)
         blocks = field_2x2.midplane_von_mises_blocks()
-        np.testing.assert_array_equal(blocks, solution_2x2.von_mises_midplane(5))
+        assert_round_off_equal(blocks, solution_2x2.von_mises_midplane(5))
 
-    def test_parallel_reconstruction_bit_identical(self, solution_2x2, field_2x2):
-        parallel = reconstruct_array_field(
-            solution_2x2, points_per_block=5, z_planes=3, jobs=4
-        )
-        np.testing.assert_array_equal(parallel.von_mises, field_2x2.von_mises)
-        np.testing.assert_array_equal(parallel.displacement, field_2x2.displacement)
-        np.testing.assert_array_equal(parallel.stress, field_2x2.stress)
+    def test_repeated_reconstruction_bit_identical(self, solution_2x2, field_2x2):
+        again = reconstruct_array_field(solution_2x2, points_per_block=5, z_planes=3)
+        np.testing.assert_array_equal(again.von_mises, field_2x2.von_mises)
+        np.testing.assert_array_equal(again.displacement, field_2x2.displacement)
+        np.testing.assert_array_equal(again.stress, field_2x2.stress)
 
     def test_blocks_match_direct_sampler(self, solution_2x2, field_2x2):
-        # Independent path: evaluate one block with a hand-built sampler.
-        kind = solution_2x2.layout.kind_at(1, 0)
-        rom = solution_2x2.roms[kind]
-        sampler = BlockFieldSampler(
-            rom, solution_2x2.materials, block_volume_points(rom, 5, 3)
-        )
-        u_fine = rom.reconstruct_displacement(
-            solution_2x2.block_reduced_displacement(1, 0), solution_2x2.delta_t
-        )
-        expected_stress = sampler.stress_from_fine(u_fine, solution_2x2.delta_t)
-        expected_vm = von_mises(expected_stress)
-        np.testing.assert_array_equal(
-            field_2x2.block_values(field_2x2.von_mises, 1, 0).reshape(-1),
-            expected_vm,
-        )
-        np.testing.assert_array_equal(
-            field_2x2.block_values(field_2x2.stress, 1, 0).reshape(-1, 6),
-            expected_stress,
-        )
+        assert_matches_oracle(field_2x2, solution_2x2)
 
     def test_coordinates_span_the_layout(self, solution_2x2, field_2x2):
         pitch = solution_2x2.layout.tsv.pitch
@@ -142,6 +189,52 @@ class TestReconstruction:
             reconstruct_array_field(solution_2x2, points_per_block=0)
         with pytest.raises(ValidationError):
             reconstruct_array_field(solution_2x2, z_planes=0)
+
+
+class TestOperatorOracle:
+    """Whole-array fields agree with the per-block oracle at 1e-12."""
+
+    @staticmethod
+    def _solve(rom_tsv_tiny, rom_dummy_tiny, materials, layout):
+        roms = {BlockKind.TSV: rom_tsv_tiny, BlockKind.DUMMY: rom_dummy_tiny}
+        return GlobalStage(roms, materials).solve(layout, DELTA_T)
+
+    def test_mixed_layout_with_dummy_blocks(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, tsv15
+    ):
+        layout = TSVArrayLayout.with_dummy_ring(tsv15, rows=2, cols=1, ring_width=1)
+        solution = self._solve(rom_tsv_tiny, rom_dummy_tiny, materials, layout)
+        field = reconstruct_array_field(
+            solution, points_per_block=3, z_planes=3, restrict_to_tsv_region=False
+        )
+        assert field.tsv_mask.shape == (4, 3) and not field.tsv_mask.all()
+        assert_matches_oracle(field, solution, restrict_to_tsv_region=False)
+        assert_round_off_equal(
+            field.midplane_von_mises_blocks(),
+            solution.von_mises_midplane(3, restrict_to_tsv_region=False),
+        )
+
+    def test_non_square_array(self, rom_tsv_tiny, rom_dummy_tiny, materials, tsv15):
+        layout = TSVArrayLayout.full(tsv15, rows=3, cols=5)
+        solution = self._solve(rom_tsv_tiny, rom_dummy_tiny, materials, layout)
+        field = reconstruct_array_field(solution, points_per_block=2, z_planes=3)
+        assert field.shape == (10, 6, 3)
+        assert_matches_oracle(field, solution)
+        assert_round_off_equal(
+            field.midplane_von_mises_blocks(), solution.von_mises_midplane(2)
+        )
+
+    def test_more_blocks_of_one_kind_than_a_chunk(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, tsv15
+    ):
+        layout = TSVArrayLayout.full(tsv15, rows=12, cols=12)
+        assert layout.num_blocks > 128
+        solution = self._solve(rom_tsv_tiny, rom_dummy_tiny, materials, layout)
+        field = reconstruct_array_field(solution, points_per_block=2, z_planes=1)
+        assert_matches_oracle(field, solution)
+        assert_round_off_equal(
+            field.midplane_von_mises_blocks(), solution.von_mises_midplane(2)
+        )
 
 
 class TestArrayFieldValidation:
@@ -490,7 +583,7 @@ class TestMemoryBoundedLargeArray:
     def test_midplane_of_large_field_bit_identical(self, large_result):
         _, result = large_result
         field = result.array_field(points_per_block=4, z_planes=3, jobs=1)
-        np.testing.assert_array_equal(
+        assert_round_off_equal(
             field.midplane_von_mises_flat(), result.von_mises_midplane_flat(4)
         )
 
