@@ -436,9 +436,6 @@ def run(
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     case_results: list[CaseResult | None] = [None] * len(cases)
-    # Shared across all cases of the run (the ROMs are, too): the geometric
-    # sampler precomputation happens once per block kind, not once per case.
-    field_sampler_cache: dict = {}
     for group_index, ((rows, cols, location), members) in enumerate(groups):
         if spec.submodel is None:
             layout = TSVArrayLayout.full(simulator.tsv, rows=rows, cols=cols)
@@ -492,14 +489,12 @@ def run(
             field_data = None
             hotspot_report = None
             if spec.output is not None:
-                # Streamed full-field reconstruction: one sampler per block
-                # kind, one block's fine field in memory at a time.
+                # Full-field reconstruction: one operator per block kind,
+                # applied to chunks of blocks.
                 field_data = reconstruct_array_field(
                     result.solution,
                     points_per_block=spec.output.resolved_points_per_block(spec.mesh),
                     z_planes=spec.output.z_planes,
-                    jobs=simulator.jobs,
-                    sampler_cache=field_sampler_cache,
                 )
                 if spec.output.hotspots:
                     hotspot_report = analyze_hotspots(

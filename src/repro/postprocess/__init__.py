@@ -3,10 +3,10 @@
 The solver stack produces reduced solutions; this package turns them into the
 artifacts downstream consumers need:
 
-* :func:`reconstruct_array_field` — streamed, memory-bounded reconstruction of
-  the whole-array displacement / Voigt-stress / von Mises field on a
-  structured per-block sample grid (one sampler per block *kind*, one block's
-  fine field in memory at a time),
+* :func:`reconstruct_array_field` — memory-bounded reconstruction of the
+  whole-array displacement / Voigt-stress / von Mises field on a structured
+  per-block sample grid (one sampling operator per block *kind*, applied to
+  chunks of blocks),
 * :class:`ArrayField` — the resulting structured grid, with lossless ``.npz``
   persistence and a legacy ``.vtk`` export readable by ParaView/VisIt,
 * :func:`analyze_hotspots` — per-TSV peak von Mises stress, its 3-D location,

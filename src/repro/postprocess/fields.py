@@ -1,23 +1,24 @@
-"""Streamed whole-array field reconstruction on a structured sample grid.
+"""Whole-array field reconstruction on a structured sample grid.
 
-The reduced solution stores one small DoF vector per block; the full
-displacement/stress field only ever exists block by block (paper Eq. 15).
-:func:`reconstruct_array_field` exploits exactly that: the expensive sampler
-precomputation (point location, shape-function gradients, material lookup)
-happens once per block *kind*, blocks are evaluated independently (fanned out
-with :func:`~repro.utils.parallel.parallel_map`) and each block writes its
-values straight into the preallocated output grid.  Peak memory is therefore
-the output grid plus O(one block's fine field) per worker — independent of
-the array size, which is what makes 100x100-array exports tractable.  A
-sharded solve (:mod:`repro.shard`) streams through this path unchanged: the
-Schwarz iteration produces the same global DoF vector as the monolithic
-solve, so reconstruction never sees shards — only per-block DoFs.
+The reduced solution stores one small DoF vector per block; the sampled
+displacement/stress of a block is linear in it (paper Eq. 15).
+:func:`reconstruct_array_field` therefore applies one precomputed operator
+per block *kind* to chunks of blocks
+(:meth:`~repro.rom.global_stage.GlobalSolution.sample_blocks`) and writes
+each chunk straight into the preallocated output grid.  No block's fine
+field is built, so peak memory is the output grid plus the operators and
+one chunk's values — independent of the array size, which is what makes
+100x100-array exports tractable.  A sharded solve (:mod:`repro.shard`)
+streams through this path unchanged: the Schwarz iteration produces the
+same global DoF vector as the monolithic solve, so reconstruction never sees
+shards — only per-block DoFs.
 
 The resulting :class:`ArrayField` is a structured (rectilinear) point grid:
 1-D global coordinate arrays ``x``/``y``/``z`` and point data of shape
-``(nx, ny, nz, ...)``.  Its mid-plane slice reproduces the paper's error
-metric samples (:meth:`GlobalSolution.von_mises_midplane`) bit for bit when
-``z_planes`` is odd.
+``(nx, ny, nz, ...)``.  When ``z_planes`` is odd its mid-plane slice holds
+the paper's error-metric samples
+(:meth:`GlobalSolution.von_mises_midplane`), equal to round-off: both sum
+the same basis through operators of different point grids.
 """
 
 from __future__ import annotations
@@ -31,12 +32,8 @@ import numpy as np
 from repro.fem.fields import von_mises
 from repro.geometry.array_layout import BlockKind
 from repro.rom.global_stage import GlobalSolution
-from repro.rom.reconstruction import (
-    BlockFieldSampler,
-    block_volume_points,
-    cell_centred_offsets,
-)
-from repro.utils.parallel import parallel_map
+from repro.rom.reconstruction import cell_centred_offsets
+from repro.utils.parallel import parallel_map  # noqa: F401  (bench/tracing.py wraps this name)
 from repro.utils.serialization import load_npz_bundle, save_npz_bundle
 from repro.utils.validation import ValidationError, check_positive_int
 
@@ -178,7 +175,7 @@ class ArrayField:
     def midplane_von_mises_blocks(self) -> np.ndarray:
         """Mid-plane von Mises stress as ``(rows, cols, p, p)`` blocks.
 
-        Identical (bit for bit) to
+        Equal, to round-off, to
         :meth:`~repro.rom.global_stage.GlobalSolution.von_mises_midplane`
         over the same block region.
         """
@@ -258,9 +255,7 @@ def reconstruct_array_field(
     solution: GlobalSolution,
     points_per_block: int = 30,
     z_planes: int = 5,
-    jobs: int | None = None,
     restrict_to_tsv_region: bool = True,
-    sampler_cache: "dict[tuple[BlockKind, int, int], BlockFieldSampler] | None" = None,
 ) -> ArrayField:
     """Reconstruct the whole-array field from a reduced global solution.
 
@@ -273,60 +268,26 @@ def reconstruct_array_field(
     z_planes:
         Cell-centred planes through the TSV height.  Use an odd count so the
         half-height plane (the paper's error-metric plane) is part of the grid.
-    jobs:
-        Worker count for the per-block fan-out (``None`` = one per available
-        CPU).  Blocks write to disjoint output slabs, so results are
-        bit-identical to ``jobs=1``.
     restrict_to_tsv_region:
         Sample only the bounding box of TSV blocks (default), matching
         :meth:`GlobalSolution.von_mises_midplane`; ``False`` samples dummy
         padding too.
-    sampler_cache:
-        Optional dict keyed on ``(kind, points_per_block, z_planes)`` shared
-        across calls that use the same ROMs (e.g. the cases of a load sweep),
-        so the geometric sampler precomputation runs once per kind and grid
-        rather than once per case.
 
     Returns
     -------
     ArrayField
-        The structured-grid field.  Peak memory is the output grid plus one
-        block's fine field per worker, regardless of array size.
+        The structured-grid field.  Peak memory is the output grid plus the
+        per-kind operators and one chunk of blocks, regardless of array size.
     """
-    check_positive_int("points_per_block", points_per_block)
-    check_positive_int("z_planes", z_planes)
+    p = check_positive_int("points_per_block", points_per_block)
+    q = check_positive_int("z_planes", z_planes)
     layout = solution.layout
-    if restrict_to_tsv_region:
-        region = solution.layout.tsv_region()
-        row_range, col_range = (
-            region
-            if region is not None
-            else (slice(0, layout.rows), slice(0, layout.cols))
-        )
-    else:
-        row_range, col_range = slice(0, layout.rows), slice(0, layout.cols)
-    rows = list(range(*row_range.indices(layout.rows)))
-    cols = list(range(*col_range.indices(layout.cols)))
-
-    # One sampler per block *kind*: every block of a kind shares the mesh and
-    # the sample points, so the geometric precomputation happens once — and
-    # only once per run when the caller shares a cache across cases.
-    kinds_present = {layout.kind_at(row, col) for row in rows for col in cols}
-    cache = sampler_cache if sampler_cache is not None else {}
-    samplers: dict[BlockKind, BlockFieldSampler] = {}
-    for kind in kinds_present:
-        key = (kind, points_per_block, z_planes)
-        if key not in cache:
-            rom = solution.roms[kind]
-            points = block_volume_points(rom, points_per_block, z_planes)
-            cache[key] = BlockFieldSampler(rom, solution.materials, points)
-        samplers[kind] = cache[key]
+    rows, cols = solution.sampled_blocks(restrict_to_tsv_region)
 
     pitch = layout.tsv.pitch
     height = layout.tsv.height
     origin_x, origin_y, origin_z = layout.origin
-    p, q = points_per_block, z_planes
-    # The same cell-centred offsets the samplers evaluate at, shifted to each
+    # The same cell-centred offsets the operators sample at, shifted to each
     # block's global position.
     local = cell_centred_offsets(pitch, p)
     x = origin_x + cols[0] * pitch + (np.arange(len(cols) * p) // p) * pitch + np.tile(local, len(cols))
@@ -337,32 +298,20 @@ def reconstruct_array_field(
     displacement = np.empty(shape + (3,), dtype=float)
     stress = np.empty(shape + (6,), dtype=float)
     vm = np.empty(shape, dtype=float)
+    # Split x and y into (block, point) axes to scatter a chunk of blocks at once.
+    blocks = (len(cols), p, len(rows), p, q)
+    displacement_blocks = displacement.reshape(blocks + (3,))
+    stress_blocks = stress.reshape(blocks + (6,))
+    vm_blocks = vm.reshape(blocks)
+    for out_rows, out_cols, block_stress, block_u in solution.sample_blocks(
+        rows, cols, p, q, displacement=True
+    ):
+        grid = (out_rows.size, p, p, q)
+        displacement_blocks[out_cols, :, out_rows] = block_u.reshape(grid + (3,))
+        stress_blocks[out_cols, :, out_rows] = block_stress.reshape(grid + (6,))
+        vm_blocks[out_cols, :, out_rows] = von_mises(block_stress).reshape(grid)
 
-    def fill_block(block: tuple[int, int]) -> None:
-        out_row, out_col = block
-        row, col = rows[out_row], cols[out_col]
-        kind = layout.kind_at(row, col)
-        sampler = samplers[kind]
-        # One block's fine field at a time — the only O(block) allocation.
-        u_fine = solution.roms[kind].reconstruct_displacement(
-            solution.block_reduced_displacement(row, col), solution.delta_t
-        )
-        block_u = sampler.displacement_from_fine(u_fine)
-        block_stress = sampler.stress_from_fine(u_fine, solution.delta_t)
-        block_vm = von_mises(block_stress)
-        sx = slice(out_col * p, (out_col + 1) * p)
-        sy = slice(out_row * p, (out_row + 1) * p)
-        displacement[sx, sy] = block_u.reshape(p, p, q, 3)
-        stress[sx, sy] = block_stress.reshape(p, p, q, 6)
-        vm[sx, sy] = block_vm.reshape(p, p, q)
-
-    blocks = [(r, c) for r in range(len(rows)) for c in range(len(cols))]
-    parallel_map(fill_block, blocks, jobs=jobs)
-
-    tsv_mask = np.array(
-        [[layout.kind_at(row, col) is BlockKind.TSV for col in cols] for row in rows],
-        dtype=bool,
-    )
+    tsv_mask = layout.kinds[rows.start : rows.stop, cols.start : cols.stop] == BlockKind.TSV
     return ArrayField(
         x=x,
         y=y,

@@ -32,6 +32,12 @@ from repro.rom.interpolation import InterpolationScheme
 from repro.utils.validation import ValidationError
 
 
+def _node_dofs(nodes: np.ndarray) -> np.ndarray:
+    """DoF ids of node-id rows ``(..., k)``: ``(..., 3k)``, node-major."""
+    dofs = 3 * np.asarray(nodes, dtype=np.int64)[..., None] + np.arange(3)
+    return dofs.reshape(nodes.shape[:-1] + (-1,))
+
+
 @dataclass
 class GlobalDofManager:
     """Numbering of global interpolation nodes and reduced DoFs for one layout.
@@ -169,12 +175,11 @@ class GlobalDofManager:
         This ordering matches the column ordering of the ROM basis and the
         abstract element matrices, so assembly is a plain gather-scatter.
         """
-        nodes = self.block_node_ids(row, col)
-        dofs = np.empty(3 * nodes.size, dtype=np.int64)
-        dofs[0::3] = 3 * nodes
-        dofs[1::3] = 3 * nodes + 1
-        dofs[2::3] = 3 * nodes + 2
-        return dofs
+        return _node_dofs(self.block_node_ids(row, col))
+
+    def blocks_dof_ids(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """:meth:`block_dof_ids` of the blocks ``(rows[i], cols[i])``, shape ``(b, n)``."""
+        return _node_dofs(self._block_node_ids[rows, cols])
 
     def all_block_dof_ids(self) -> np.ndarray:
         """Global DoF ids of every block at once, shape ``(num_blocks, n)``.
@@ -184,12 +189,7 @@ class GlobalDofManager:
         same node-major / component-minor order as :meth:`block_dof_ids`.
         This is the gather map of the batched global assembly.
         """
-        nodes = self._block_node_ids.reshape(self.layout.num_blocks, -1)
-        dofs = np.empty((nodes.shape[0], 3 * nodes.shape[1]), dtype=np.int64)
-        dofs[:, 0::3] = 3 * nodes
-        dofs[:, 1::3] = 3 * nodes + 1
-        dofs[:, 2::3] = 3 * nodes + 2
-        return dofs
+        return _node_dofs(self._block_node_ids.reshape(self.layout.num_blocks, -1))
 
     # ------------------------------------------------------------------ #
     # node geometry and classification

@@ -45,17 +45,23 @@ import scipy.sparse.linalg as spla
 
 from repro.fem.backends import resolve_backend
 from repro.fem.boundary import DirichletBC, lift_system
+from repro.fem.fields import von_mises
 from repro.fem.solver import FactorizedOperator, LinearSolver, SolveStats, SolverOptions
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.materials.library import MaterialLibrary
 from repro.rom.global_dofs import GlobalDofManager
-from repro.rom.reconstruction import BlockFieldSampler, block_midplane_points
+from repro.rom.reconstruction import BlockFieldSampler, block_volume_points
 from repro.rom.rom_model import ReducedOrderModel
 from repro.utils.logging import get_logger
 from repro.utils.timing import StageTimings
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_positive_int
 
 _logger = get_logger("rom.global_stage")
+
+#: Most blocks of one kind sampled per matrix product.
+_BLOCK_CHUNK = 128
+#: Cap on the sampled values of one chunk (``blocks x 6m``): 8 MiB of stress.
+_CHUNK_VALUES = 1 << 20
 
 
 def _check_rom_consistency(
@@ -639,6 +645,8 @@ class GlobalStage:
             timings.get("factorize"),
             timings.get("solve"),
         )
+        # The cases share the ROMs, so they share the sampling operators too.
+        operators: dict = {}
         return [
             GlobalSolution(
                 layout=layout,
@@ -655,6 +663,7 @@ class GlobalStage:
                     converged=True,
                     unknowns=manager.num_global_dofs,
                 ),
+                _operators=operators,
             )
             for case in range(len(delta_ts))
         ]
@@ -673,7 +682,8 @@ class GlobalSolution:
     delta_t:
         The thermal load of this solution.
     timings, solver_stats:
-        Performance diagnostics of the global stage.
+        Performance diagnostics of the global stage; the sampling operators
+        are cached per solution (shared by the cases of one ``solve_many``).
     """
 
     layout: TSVArrayLayout
@@ -684,7 +694,7 @@ class GlobalSolution:
     delta_t: float
     timings: StageTimings
     solver_stats: SolveStats | None = None
-    _samplers: dict[tuple[BlockKind, int], BlockFieldSampler] = field(
+    _operators: dict[tuple[BlockKind, int, int], BlockFieldSampler] = field(
         default_factory=dict, repr=False
     )
 
@@ -696,21 +706,65 @@ class GlobalSolution:
         dofs = self.manager.block_dof_ids(row, col)
         return self.nodal_displacement[dofs]
 
-    def block_fine_displacement(self, row: int, col: int) -> np.ndarray:
-        """Fine-mesh displacement of one block, block-local coordinates (Eq. 15)."""
-        kind = self.layout.kind_at(row, col)
-        rom = self.roms[kind]
-        return rom.reconstruct_displacement(
-            self.block_reduced_displacement(row, col), self.delta_t
-        )
+    def sampled_blocks(self, restrict_to_tsv_region: bool = True) -> tuple[range, range]:
+        """Block rows and columns a sampled field covers.
 
-    def _sampler(self, kind: BlockKind, points_per_block: int) -> BlockFieldSampler:
-        key = (kind, points_per_block)
-        if key not in self._samplers:
-            rom = self.roms[kind]
-            points = block_midplane_points(rom, points_per_block)
-            self._samplers[key] = BlockFieldSampler(rom, self.materials, points)
-        return self._samplers[key]
+        The bounding box of the TSV blocks, or the whole layout when
+        ``restrict_to_tsv_region`` is false (or the layout has no TSV).
+        """
+        region = self.layout.tsv_region() if restrict_to_tsv_region else None
+        rows, cols = region or (slice(0, self.layout.rows), slice(0, self.layout.cols))
+        return range(*rows.indices(self.layout.rows)), range(*cols.indices(self.layout.cols))
+
+    def sample_blocks(
+        self,
+        rows: range,
+        cols: range,
+        points_per_block: int,
+        z_planes: int,
+        displacement: bool = False,
+    ):
+        """Sample the blocks of ``rows x cols``, a chunk of one kind at a time.
+
+        A block's values are its kind's operators (cached per kind and
+        :func:`~repro.rom.reconstruction.block_volume_points` grid) times
+        ``[q_block, delta_t]`` (paper Eq. 15).  Yields ``(out_rows, out_cols,
+        stress, displacement)`` per chunk of at most 128 blocks: positions
+        relative to ``(rows[0], cols[0])``, Voigt stress ``(b, m, 6)`` and,
+        if asked for, displacement ``(b, m, 3)`` (else ``None``).
+        """
+        kinds = self.layout.kinds[rows.start : rows.stop, cols.start : cols.stop]
+        n = self.manager.dofs_per_block
+        for kind in BlockKind:
+            out_rows, out_cols = np.nonzero(kinds == kind)
+            if out_rows.size == 0:
+                continue
+            key = (kind, points_per_block, z_planes)
+            if key not in self._operators:
+                rom = self.roms[kind]
+                points = block_volume_points(rom, points_per_block, z_planes)
+                self._operators[key] = BlockFieldSampler(rom, self.materials, points)
+            sampler = self._operators[key]
+            stress_op = sampler.stress_operator
+            displacement_op = sampler.displacement_operator if displacement else None
+            m = sampler.points.shape[0]
+            chunk = max(1, min(_BLOCK_CHUNK, _CHUNK_VALUES // stress_op.shape[0]))
+            for start in range(0, out_rows.size, chunk):
+                block_rows = out_rows[start : start + chunk]
+                block_cols = out_cols[start : start + chunk]
+                dofs = self.manager.blocks_dof_ids(
+                    rows.start + block_rows, cols.start + block_cols
+                )
+                coefficients = np.empty((block_rows.size, n + 1))
+                coefficients[:, :n] = self.nodal_displacement[dofs]
+                coefficients[:, n] = self.delta_t
+                stress = (coefficients @ stress_op.T).reshape(-1, m, 6)
+                values = (
+                    None
+                    if displacement_op is None
+                    else (coefficients @ displacement_op.T).reshape(-1, m, 3)
+                )
+                yield block_rows, block_cols, stress, values
 
     # ------------------------------------------------------------------ #
     # array-level results
@@ -727,28 +781,12 @@ class GlobalSolution:
             ``points_per_block`` and ``(rows, cols)`` covers either the whole
             layout or only the bounding box of TSV blocks.
         """
-        if restrict_to_tsv_region:
-            region = self.layout.tsv_region()
-            row_range, col_range = (
-                region if region is not None else (slice(0, self.layout.rows), slice(0, self.layout.cols))
-            )
-        else:
-            row_range, col_range = slice(0, self.layout.rows), slice(0, self.layout.cols)
-        rows = range(*row_range.indices(self.layout.rows))
-        cols = range(*col_range.indices(self.layout.cols))
-        result = np.empty(
-            (len(rows), len(cols), points_per_block, points_per_block), dtype=float
-        )
-        for out_row, row in enumerate(rows):
-            for out_col, col in enumerate(cols):
-                kind = self.layout.kind_at(row, col)
-                sampler = self._sampler(kind, points_per_block)
-                values = sampler.von_mises(
-                    self.block_reduced_displacement(row, col), self.delta_t
-                )
-                result[out_row, out_col] = values.reshape(
-                    points_per_block, points_per_block
-                )
+        p = check_positive_int("points_per_block", points_per_block)
+        rows, cols = self.sampled_blocks(restrict_to_tsv_region)
+        result = np.empty((len(rows), len(cols), p, p))
+        # The one-plane volumetric grid is the mid-plane grid.
+        for out_rows, out_cols, stress, _ in self.sample_blocks(rows, cols, p, 1):
+            result[out_rows, out_cols] = von_mises(stress).reshape(-1, p, p)
         return result
 
     def von_mises_midplane_flat(

@@ -1,29 +1,29 @@
-"""Fast reconstruction of fields inside unit blocks from the reduced solution.
+"""Stress and displacement sampling inside unit blocks (paper Eq. 15).
 
 After the global stage has been solved, the displacement inside block
 ``(row, col)`` is a linear combination of that block's local basis functions
-(paper Eq. 15).  Stress evaluation therefore happens on the block's fine mesh.
-Because every block of the same kind shares the same mesh and the same
-evaluation points (the per-block mid-plane grid of the paper's error metric),
-the expensive geometric part of stress recovery — point location, shape
-function gradients, material lookup — is computed once per block *kind* and
-reused for every block, which keeps the global-stage post-processing time
-negligible compared to the solve.
+(paper Eq. 15), so any field sampled at fixed block-local points is linear in
+the block's reduced DoFs and the thermal load.  Every block of one kind shares
+the mesh and the sample points, so :class:`BlockFieldSampler` applies its
+point-wise kernel to the basis once, giving one matrix per kind; sampling an
+array is then a chunked matrix product over the blocks of each kind
+(:meth:`~repro.rom.global_stage.GlobalSolution.sample_blocks`).  No block's
+fine field is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.fem.assembly import element_dof_map
 from repro.fem.elasticity import material_arrays_for_mesh
 from repro.fem.element import shape_function_gradients, shape_functions
-from repro.fem.fields import von_mises
 from repro.materials.library import MaterialLibrary
 from repro.rom.rom_model import ReducedOrderModel
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_positive_int
 
 
 def cell_centred_offsets(extent: float, count: int) -> np.ndarray:
@@ -48,14 +48,11 @@ def block_volume_points(
     x-index major, then y, then z, so ``values.reshape(p, p, q)`` recovers the
     ``(ix, iy, iz)`` grid.  With an odd ``z_planes`` the middle plane sits
     exactly at half the TSV height, so the mid-plane slice of a volumetric
-    sample reproduces the mid-plane sample bit for bit.
+    grid holds the mid-plane grid's points, and ``z_planes=1`` *is* the
+    mid-plane grid, bit for bit.
     """
-    if points_per_block < 1:
-        raise ValidationError(
-            f"points_per_block must be >= 1, got {points_per_block}"
-        )
-    if z_planes < 1:
-        raise ValidationError(f"z_planes must be >= 1, got {z_planes}")
+    points_per_block = check_positive_int("points_per_block", points_per_block)
+    z_planes = check_positive_int("z_planes", z_planes)
     pitch = rom.block.tsv.pitch
     height = rom.block.tsv.height
     local = cell_centred_offsets(pitch, points_per_block)
@@ -67,22 +64,26 @@ def block_volume_points(
 def block_midplane_points(rom: ReducedOrderModel, points_per_block: int) -> np.ndarray:
     """Cell-centred mid-plane sample grid of one block, in block-local coordinates.
 
-    The ordering (x index major, then y) matches
-    :func:`repro.fem.sampling.midplane_grid_points` so ROM and reference
-    samples can be compared entry by entry.
+    The one-plane volumetric grid.  Its ordering (x index major, then y)
+    matches :func:`repro.fem.sampling.midplane_grid_points` so ROM and
+    reference samples can be compared entry by entry.
     """
-    pitch = rom.block.tsv.pitch
-    height = rom.block.tsv.height
-    local = cell_centred_offsets(pitch, points_per_block)
-    grid_x, grid_y = np.meshgrid(local, local, indexing="ij")
-    return np.column_stack(
-        [grid_x.ravel(), grid_y.ravel(), np.full(grid_x.size, 0.5 * height)]
-    )
+    return block_volume_points(rom, points_per_block, 1)
+
+
+#: Cap on the basis rows gathered at once while building an operator:
+#: ``points x 24 x (n + 1)`` values, 512 KiB.
+_GATHER_VALUES = 1 << 16
 
 
 @dataclass
 class BlockFieldSampler:
-    """Precomputed stress/displacement evaluation at fixed block-local points.
+    """The point-wise stress/displacement kernel at fixed block-local points.
+
+    Point location, shape functions and their gradients, and the material
+    constants are computed once.  :attr:`stress_operator` and
+    :attr:`displacement_operator` apply the kernel to the ROM basis, giving
+    the per-kind sampling matrices; each is built on first use.
 
     Parameters
     ----------
@@ -91,7 +92,8 @@ class BlockFieldSampler:
     materials:
         Material library used for stress recovery.
     points:
-        Block-local evaluation points, shape ``(p, 3)``.
+        Block-local evaluation points, shape ``(p, 3)``.  Every point must be
+        finite and lie inside the block (its boundary included).
     """
 
     rom: ReducedOrderModel
@@ -100,10 +102,16 @@ class BlockFieldSampler:
 
     def __post_init__(self) -> None:
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if points.shape[1] != 3:
+        if points.ndim != 2 or points.shape[1] != 3:
             raise ValidationError(f"points must have shape (p, 3), got {points.shape}")
-        self.points = points
         mesh = self.rom.mesh
+        outside = ~mesh.contains_points(points)
+        if outside.any():
+            raise ValidationError(
+                f"{int(outside.sum())} sample point(s) lie outside the block or "
+                f"are not finite, e.g. {points[outside][0].tolist()}"
+            )
+        self.points = points
         material_data = material_arrays_for_mesh(mesh, self.materials)
         element_ids, local = mesh.locate_points(points)
         sizes = mesh.element_sizes()[element_ids]
@@ -117,81 +125,96 @@ class BlockFieldSampler:
         self._cte = material_data.cte[tag_index]
 
     # ------------------------------------------------------------------ #
-    # sampling given a reduced block solution
+    # the point-wise kernel
     # ------------------------------------------------------------------ #
-    def displacement(self, nodal_displacement: np.ndarray, delta_t: float) -> np.ndarray:
-        """Displacement vectors at the sample points, shape ``(p, 3)``."""
-        u_fine = self.rom.reconstruct_displacement(nodal_displacement, delta_t)
-        return self.displacement_from_fine(u_fine)
-
     def displacement_from_fine(self, fine_displacement: np.ndarray) -> np.ndarray:
-        """Displacement at the sample points from a fine-mesh displacement vector.
+        """Displacement at the sample points from fine-mesh displacements.
 
-        Sharing one reconstructed fine vector between :meth:`displacement_from_fine`
-        and :meth:`stress_from_fine` halves the reconstruction cost when both
-        fields are sampled (the full-field export path).
+        ``fine_displacement`` is one fine DoF vector, giving shape ``(m, 3)``,
+        or a ``(fine_dofs, k)`` matrix of them, giving ``(m, 3, k)``.
         """
-        fine_displacement = np.asarray(fine_displacement, dtype=float).ravel()
-        if fine_displacement.size != self.rom.mesh.num_dofs:
-            raise ValidationError(
-                f"fine displacement has {fine_displacement.size} entries, "
-                f"expected {self.rom.mesh.num_dofs}"
-            )
-        u_elements = np.asarray(
-            fine_displacement[self._element_dofs].reshape(self.points.shape[0], 8, 3),
-            dtype=np.float64,
-        )
-        shape_values = np.asarray(self._shape_values, dtype=np.float64)
-        return np.einsum("pa,pac->pc", shape_values, u_elements)
+        values = self._displacement(self._fine_matrix(fine_displacement), slice(None))
+        return values[..., 0] if np.ndim(fine_displacement) == 1 else values
 
-    def stress(self, nodal_displacement: np.ndarray, delta_t: float) -> np.ndarray:
-        """Voigt stress at the sample points, shape ``(p, 6)`` (paper Eq. 1)."""
-        u_fine = self.rom.reconstruct_displacement(nodal_displacement, delta_t)
-        return self.stress_from_fine(u_fine, delta_t)
+    def stress_from_fine(self, fine_displacement: np.ndarray, delta_t) -> np.ndarray:
+        """Voigt stress at the sample points from fine-mesh displacements (Eq. 1).
 
-    def stress_from_fine(self, fine_displacement: np.ndarray, delta_t: float) -> np.ndarray:
-        """Voigt stress at the sample points from a fine-mesh displacement vector."""
-        fine_displacement = np.asarray(fine_displacement, dtype=float).ravel()
-        if fine_displacement.size != self.rom.mesh.num_dofs:
+        ``fine_displacement`` is one fine DoF vector, giving shape ``(m, 6)``,
+        or a ``(fine_dofs, k)`` matrix of them, giving ``(m, 6, k)``;
+        ``delta_t`` is one thermal load or one per column.
+        """
+        values = self._stress(self._fine_matrix(fine_displacement), delta_t, slice(None))
+        return values[..., 0] if np.ndim(fine_displacement) == 1 else values
+
+    def _fine_matrix(self, fine_displacement: np.ndarray) -> np.ndarray:
+        fine = np.asarray(fine_displacement, dtype=float)
+        if fine.ndim not in (1, 2) or fine.shape[0] != self.rom.mesh.num_dofs:
             raise ValidationError(
-                f"fine displacement has {fine_displacement.size} entries, "
-                f"expected {self.rom.mesh.num_dofs}"
+                f"fine displacement has shape {fine.shape}, expected "
+                f"({self.rom.mesh.num_dofs},) or ({self.rom.mesh.num_dofs}, k)"
             )
-        u_elements = np.asarray(
-            fine_displacement[self._element_dofs].reshape(self.points.shape[0], 8, 3),
-            dtype=np.float64,
-        )
-        grads = np.asarray(self._grads, dtype=np.float64)
-        strain = np.zeros((self.points.shape[0], 6), dtype=np.float64)
-        strain[:, 0] = np.einsum("pa,pa->p", grads[:, :, 0], u_elements[:, :, 0])
-        strain[:, 1] = np.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 1])
-        strain[:, 2] = np.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 2])
-        strain[:, 3] = np.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 1]) + np.einsum(
-            "pa,pa->p", grads[:, :, 1], u_elements[:, :, 2]
-        )
-        strain[:, 4] = np.einsum("pa,pa->p", grads[:, :, 2], u_elements[:, :, 0]) + np.einsum(
-            "pa,pa->p", grads[:, :, 0], u_elements[:, :, 2]
-        )
-        strain[:, 5] = np.einsum("pa,pa->p", grads[:, :, 1], u_elements[:, :, 0]) + np.einsum(
-            "pa,pa->p", grads[:, :, 0], u_elements[:, :, 1]
-        )
-        trace = strain[:, 0] + strain[:, 1] + strain[:, 2]
-        lam = np.asarray(self._lam, dtype=np.float64)
-        mu = np.asarray(self._mu, dtype=np.float64)
-        cte = np.asarray(self._cte, dtype=np.float64)
-        thermal = cte * float(delta_t) * (3.0 * lam + 2.0 * mu)
-        stress = np.empty_like(strain)
-        stress[:, 0] = lam * trace + 2.0 * mu * strain[:, 0] - thermal
-        stress[:, 1] = lam * trace + 2.0 * mu * strain[:, 1] - thermal
-        stress[:, 2] = lam * trace + 2.0 * mu * strain[:, 2] - thermal
-        stress[:, 3] = mu * strain[:, 3]
-        stress[:, 4] = mu * strain[:, 4]
-        stress[:, 5] = mu * strain[:, 5]
+        return fine.reshape(fine.shape[0], -1)
+
+    def _element_values(self, fine: np.ndarray, points: slice) -> np.ndarray:
+        """The points' element DoF values, shape ``(p, 8, 3k)``."""
+        dofs = self._element_dofs[points]
+        return fine[dofs].reshape(dofs.shape[0], 8, -1)
+
+    def _displacement(self, fine: np.ndarray, points: slice) -> np.ndarray:
+        shape_values = self._shape_values[points][:, None, :]  # (p, 1, 8)
+        values = np.matmul(shape_values, self._element_values(fine, points))
+        return values.reshape(-1, 3, fine.shape[1])
+
+    def _stress(self, fine: np.ndarray, delta_t, points: slice) -> np.ndarray:
+        # grad[p, j, i, k] = d u_i / d x_j of column k at point p.
+        grads = self._grads[points].transpose(0, 2, 1)  # (p, 3, 8)
+        grad = np.matmul(grads, self._element_values(fine, points))
+        grad = grad.reshape(-1, 3, 3, fine.shape[1])
+        lam = self._lam[points, None]
+        mu = self._mu[points, None]
+        thermal = self._cte[points, None] * np.asarray(delta_t) * (3.0 * lam + 2.0 * mu)
+        trace = grad[:, 0, 0] + grad[:, 1, 1] + grad[:, 2, 2]
+        stress = np.empty((grad.shape[0], 6, grad.shape[3]))
+        for axis in range(3):
+            stress[:, axis] = lam * trace + 2.0 * mu * grad[:, axis, axis] - thermal
+        for component, (i, j) in enumerate(((1, 2), (0, 2), (0, 1)), start=3):
+            stress[:, component] = mu * (grad[:, i, j] + grad[:, j, i])
         return stress
 
-    def von_mises(self, nodal_displacement: np.ndarray, delta_t: float) -> np.ndarray:
-        """Von Mises stress at the sample points, shape ``(p,)``."""
-        return von_mises(self.stress(nodal_displacement, delta_t))
+    # ------------------------------------------------------------------ #
+    # per-kind sampling operators
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def stress_operator(self) -> np.ndarray:
+        """The stress sampling matrix ``S`` of this point set, ``(6m, n + 1)``.
+
+        For a block with reduced DoFs ``q`` under a thermal load ``delta_t``,
+        ``S @ [q, delta_t]`` is the Voigt stress at the ``m`` points (point
+        major, component minor).  The thermal column is ``f_T`` under a unit
+        load with the ``-cte * (3 lam + 2 mu)`` eigenstrain term folded in.
+        """
+        unit_load = np.zeros(self.rom.basis.shape[1])
+        unit_load[-1] = 1.0
+        return self._basis_operator(
+            6, lambda points: self._stress(self.rom.basis, unit_load, points)
+        )
+
+    @cached_property
+    def displacement_operator(self) -> np.ndarray:
+        """The displacement sampling matrix ``N`` of this point set, ``(3m, n + 1)``.
+
+        ``N @ [q, delta_t]`` is the displacement at the ``m`` points.
+        """
+        return self._basis_operator(3, lambda points: self._displacement(self.rom.basis, points))
+
+    def _basis_operator(self, components: int, kernel) -> np.ndarray:
+        # A slice of points at a time, so the gathered basis rows stay small.
+        count, columns = self.points.shape[0], self.rom.basis.shape[1]
+        step = max(1, _GATHER_VALUES // (24 * columns))
+        values = np.empty((count, components, columns))
+        for start in range(0, count, step):
+            values[start : start + step] = kernel(slice(start, start + step))
+        return values.reshape(-1, columns)
 
 
 __all__ = [

@@ -78,25 +78,17 @@ class SimulationResult:
         """Flattened mid-plane von Mises stress (reference-sampler ordering)."""
         return self.solution.von_mises_midplane_flat(points_per_block)
 
-    def array_field(
-        self,
-        points_per_block: int = 30,
-        z_planes: int = 5,
-        jobs: int | None = None,
-    ):
+    def array_field(self, points_per_block: int = 30, z_planes: int = 5):
         """Full volumetric displacement/stress field over the TSV region.
 
-        Streamed block-by-block reconstruction (see
+        One operator per block kind, applied to chunks of blocks (see
         :func:`repro.postprocess.reconstruct_array_field`); peak memory is the
-        output grid plus one block's fine field, regardless of array size.
+        output grid plus the operators and one chunk, regardless of array size.
         """
         from repro.postprocess.fields import reconstruct_array_field
 
         return reconstruct_array_field(
-            self.solution,
-            points_per_block=points_per_block,
-            z_planes=z_planes,
-            jobs=jobs,
+            self.solution, points_per_block=points_per_block, z_planes=z_planes
         )
 
     @property

@@ -134,7 +134,7 @@ def solution_2x2(rom_result_2x2):
 
 @pytest.fixture(scope="module")
 def field_2x2(solution_2x2):
-    return reconstruct_array_field(solution_2x2, points_per_block=5, z_planes=3, jobs=1)
+    return reconstruct_array_field(solution_2x2, points_per_block=5, z_planes=3)
 
 
 class TestReconstruction:
@@ -189,6 +189,16 @@ class TestReconstruction:
             reconstruct_array_field(solution_2x2, points_per_block=0)
         with pytest.raises(ValidationError):
             reconstruct_array_field(solution_2x2, z_planes=0)
+
+    @pytest.mark.parametrize("counts", [{"points_per_block": 2.5}, {"z_planes": 1.5}])
+    def test_non_integer_counts_rejected(self, solution_2x2, counts):
+        with pytest.raises(ValidationError, match="integer"):
+            reconstruct_array_field(solution_2x2, **counts)
+
+    def test_integral_float_counts_accepted(self, solution_2x2):
+        field = reconstruct_array_field(solution_2x2, points_per_block=2.0, z_planes=2.0)
+        assert field.shape == (4, 4, 2)
+        assert field.points_per_block == 2 and isinstance(field.points_per_block, int)
 
 
 class TestOperatorOracle:
@@ -565,7 +575,7 @@ class TestMemoryBoundedLargeArray:
 
         tracemalloc.start()
         try:
-            field = result.array_field(points_per_block=4, z_planes=3, jobs=1)
+            field = result.array_field(points_per_block=4, z_planes=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -582,14 +592,14 @@ class TestMemoryBoundedLargeArray:
 
     def test_midplane_of_large_field_bit_identical(self, large_result):
         _, result = large_result
-        field = result.array_field(points_per_block=4, z_planes=3, jobs=1)
+        field = result.array_field(points_per_block=4, z_planes=3)
         assert_round_off_equal(
             field.midplane_von_mises_flat(), result.von_mises_midplane_flat(4)
         )
 
     def test_hotspot_report_covers_every_tsv(self, large_result):
         _, result = large_result
-        field = result.array_field(points_per_block=4, z_planes=3, jobs=1)
+        field = result.array_field(points_per_block=4, z_planes=3)
         report = analyze_hotspots(field)
         assert report.num_tsvs == 400
         for spot in report.top(5):

@@ -93,6 +93,10 @@ class TestGlobalDofManager:
         assert stacked.shape == (layout.num_blocks, manager.dofs_per_block)
         for index, (row, col, _) in enumerate(layout.iter_blocks()):
             np.testing.assert_array_equal(stacked[index], manager.block_dof_ids(row, col))
+        rows, cols = np.array([1, 0, 1]), np.array([2, 1, 0])
+        np.testing.assert_array_equal(
+            manager.blocks_dof_ids(rows, cols), stacked[rows * layout.cols + cols]
+        )
 
     def test_invalid_numbering_mode_rejected(self, tsv15, scheme_333):
         layout = TSVArrayLayout.full(tsv15, rows=1, cols=1)
@@ -542,14 +546,14 @@ class TestBlockFieldSampler:
         assert points[:, 0].min() > 0.0 and points[:, 0].max() < 15.0
 
     def test_sampler_matches_reconstruction(self, rom_tsv_tiny, materials):
-        """The fast sampler agrees with reconstructing then evaluating."""
-        from repro.fem.fields import FieldEvaluator
+        """The stress operator agrees with reconstructing then evaluating."""
+        from repro.fem.fields import FieldEvaluator, von_mises
 
         rng = np.random.default_rng(1)
         nodal = 1e-3 * rng.normal(size=rom_tsv_tiny.num_element_dofs)
         points = block_midplane_points(rom_tsv_tiny, 5)
-        sampler = BlockFieldSampler(rom_tsv_tiny, materials, points)
-        fast = sampler.von_mises(nodal, DELTA_T)
+        stress_op = BlockFieldSampler(rom_tsv_tiny, materials, points).stress_operator
+        fast = von_mises((stress_op @ np.append(nodal, DELTA_T)).reshape(-1, 6))
 
         fine = rom_tsv_tiny.reconstruct_displacement(nodal, DELTA_T)
         evaluator = FieldEvaluator(rom_tsv_tiny.mesh, materials)
@@ -557,20 +561,79 @@ class TestBlockFieldSampler:
         np.testing.assert_allclose(fast, slow, rtol=1e-9)
 
     def test_displacement_sampling(self, rom_tsv_tiny, materials):
-        points = block_midplane_points(rom_tsv_tiny, 3)
+        rng = np.random.default_rng(2)
+        nodal = 1e-3 * rng.normal(size=rom_tsv_tiny.num_element_dofs)
+        sampler = BlockFieldSampler(
+            rom_tsv_tiny, materials, block_midplane_points(rom_tsv_tiny, 3)
+        )
+        values = (sampler.displacement_operator @ np.append(nodal, DELTA_T)).reshape(-1, 3)
+        expected = sampler.displacement_from_fine(
+            rom_tsv_tiny.reconstruct_displacement(nodal, DELTA_T)
+        )
+        np.testing.assert_allclose(
+            values, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+        )
+
+    def test_operators_are_the_kernel_on_the_basis(self, rom_tsv_tiny, materials):
+        # More points than one build slice, so the slices must line up.
+        points = block_midplane_points(rom_tsv_tiny, 17)
         sampler = BlockFieldSampler(rom_tsv_tiny, materials, points)
-        values = sampler.displacement(np.zeros(rom_tsv_tiny.num_element_dofs), 0.0)
-        np.testing.assert_allclose(values, 0.0)
+        stress_op = sampler.stress_operator
+        displacement_op = sampler.displacement_operator
+        n = rom_tsv_tiny.num_element_dofs
+        assert stress_op.shape == (6 * 17 * 17, n + 1)
+        assert displacement_op.shape == (3 * 17 * 17, n + 1)
+        unit_loads = np.zeros(n + 1)
+        unit_loads[n] = 1.0
+        stress = sampler.stress_from_fine(rom_tsv_tiny.basis, unit_loads)
+        np.testing.assert_array_equal(stress_op, stress.reshape(-1, n + 1))
+        displacement = sampler.displacement_from_fine(rom_tsv_tiny.basis)
+        np.testing.assert_array_equal(displacement_op, displacement.reshape(-1, n + 1))
 
     def test_invalid_points_rejected(self, rom_tsv_tiny, materials):
         with pytest.raises(ValidationError):
             BlockFieldSampler(rom_tsv_tiny, materials, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("x", [30.0, -0.5, np.nan, np.inf])
+    def test_points_outside_the_block_rejected(self, rom_tsv_tiny, materials, x):
+        with pytest.raises(ValidationError, match="outside the block"):
+            BlockFieldSampler(rom_tsv_tiny, materials, [[x, 1.0, 1.0]])
+
+    def test_points_on_the_block_boundary_accepted(self, rom_tsv_tiny, materials):
+        pitch = rom_tsv_tiny.block.tsv.pitch
+        height = rom_tsv_tiny.block.tsv.height
+        points = [[0.0, 0.0, 0.0], [pitch, pitch, height], [pitch, 1.0, 0.5 * height]]
+        stress = BlockFieldSampler(rom_tsv_tiny, materials, points).stress_from_fine(
+            np.zeros(rom_tsv_tiny.mesh.num_dofs), DELTA_T
+        )
+        assert stress.shape == (3, 6) and np.isfinite(stress).all()
 
     def test_stress_from_fine_checks_size(self, rom_tsv_tiny, materials):
         points = block_midplane_points(rom_tsv_tiny, 2)
         sampler = BlockFieldSampler(rom_tsv_tiny, materials, points)
         with pytest.raises(ValidationError):
             sampler.stress_from_fine(np.zeros(7), 0.0)
+        with pytest.raises(ValidationError):
+            sampler.stress_from_fine(np.zeros((rom_tsv_tiny.mesh.num_dofs, 2, 2)), 0.0)
+
+
+class TestMidplaneValidation:
+    @pytest.fixture(scope="class")
+    def solution(self, rom_tsv_tiny, materials, tsv15):
+        layout = TSVArrayLayout.full(tsv15, rows=2, cols=2)
+        return GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials).solve(layout, DELTA_T)
+
+    @pytest.mark.parametrize("points", [0, -2, 2.5])
+    def test_bad_points_per_block_rejected(self, solution, points):
+        with pytest.raises(ValidationError, match="points_per_block"):
+            solution.von_mises_midplane(points)
+        with pytest.raises(ValidationError, match="points_per_block"):
+            solution.max_von_mises(points)
+
+    def test_repeated_calls_bit_identical(self, solution):
+        first = solution.von_mises_midplane(4)
+        np.testing.assert_array_equal(solution.von_mises_midplane(4.0), first)
+        assert solution.max_von_mises(4) == first.max()
 
 
 class TestBatchedFactorizationGuard:
