@@ -37,7 +37,7 @@ fields inside any block from the local basis functions (Eq. 15).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -723,7 +723,7 @@ class GlobalSolution:
         points_per_block: int,
         z_planes: int,
         displacement: bool = False,
-    ):
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
         """Sample the blocks of ``rows x cols``, a chunk of one kind at a time.
 
         A block's values are its kind's operators (cached per kind and
