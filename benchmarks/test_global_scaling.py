@@ -19,7 +19,6 @@ largest Table-1 case.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 import pytest
 
@@ -130,158 +129,3 @@ class TestGlobalScaling:
         # both sides loads).
         if rom_cache.misses >= 1:
             assert warm_seconds < cold_seconds
-
-
-class TestShardedScaling:
-    """Monolithic vs sharded global stage: equivalence, time and peak RSS.
-
-    Each solve runs in its own child process (``shard_solve_child.py``) so
-    the two peak-RSS numbers are independent high-water marks — the whole
-    point of the sharded solver is that its peak stays below the monolithic
-    assembly+factorization, which a same-process ``ru_maxrss`` cannot show.
-    A third child per size runs GMRES on the matrix-free global operator; its
-    time, peak RSS and error against the monolithic solve are recorded as
-    information, outside the ``gate`` block.
-    Set ``REPRO_BENCH_OUTPUT`` to a path to emit/merge ``BENCH_8.json``.
-    """
-
-    # Every scale includes the smallest rung, so artifacts emitted at
-    # different scales share comparable entries (the CI gate relies on it).
-    _SIZES = {"small": (16,), "medium": (16, 48), "paper": (16, 100)}
-    #: peak-RSS ordering is only asserted where the assembled system clearly
-    #: dominates the interpreter baseline; below this the numbers are noise.
-    _RSS_GATED_FROM = 48
-
-    @staticmethod
-    def _run_child(size: int, mode: str, grid, overlap: int, cache: Path, out: Path):
-        import json as json_module
-        import subprocess
-        import sys
-
-        report = out / f"{mode}-{size}.json"
-        displacement = out / f"{mode}-{size}.npz"
-        script = Path(__file__).resolve().parent / "shard_solve_child.py"
-        command = [
-            sys.executable, str(script),
-            "--size", str(size), "--mode", mode,
-            "--grid", str(grid[0]), str(grid[1]), "--overlap", str(overlap),
-            "--cache", str(cache),
-            "--report", str(report), "--displacement", str(displacement),
-        ]
-        completed = subprocess.run(command, capture_output=True, text=True)
-        assert completed.returncode == 0, completed.stderr
-        import numpy as np
-
-        return json_module.loads(report.read_text()), np.load(displacement)["u"]
-
-    def test_sharded_matches_monolithic_and_bounds_memory(
-        self, bench_scale, rom_cache, tmp_path
-    ):
-        import json as json_module
-        import os
-        import platform
-
-        import numpy as np
-
-        entries: dict[str, dict] = {}
-        local_stage_seconds: list[float] = []
-        for size in self._SIZES[bench_scale]:
-            grid = (4, 4) if size >= 48 else (2, 2)
-            overlap = 2
-            mono, u_mono = self._run_child(
-                size, "monolithic", grid, overlap, Path(rom_cache.directory), tmp_path
-            )
-            shard, u_shard = self._run_child(
-                size, "sharded", grid, overlap, Path(rom_cache.directory), tmp_path
-            )
-            free, u_free = self._run_child(
-                size, "matrix-free", grid, overlap, Path(rom_cache.directory), tmp_path
-            )
-            local_stage_seconds.append((mono["cache_hit"], mono["local_stage_seconds"]))
-            local_stage_seconds.append((shard["cache_hit"], shard["local_stage_seconds"]))
-
-            rel_u = float(
-                np.linalg.norm(u_shard - u_mono) / np.linalg.norm(u_mono)
-            )
-            vm_mono, vm_shard = mono["max_von_mises"], shard["max_von_mises"]
-            rel_vm = abs(vm_shard - vm_mono) / abs(vm_mono)
-            stats = shard["shard"]
-            assert stats["converged"], stats
-            assert rel_u < 1e-8, f"{size}x{size}: displacement error {rel_u:.3e}"
-            assert rel_vm < 1e-8, f"{size}x{size}: von Mises error {rel_vm:.3e}"
-            rss_gated = size >= self._RSS_GATED_FROM
-            if rss_gated:
-                assert shard["peak_rss_bytes"] < mono["peak_rss_bytes"], (
-                    f"{size}x{size}: sharded peak RSS "
-                    f"{shard['peak_rss_bytes']} >= monolithic "
-                    f"{mono['peak_rss_bytes']}"
-                )
-
-            gate = {
-                "num_global_dofs": mono["num_global_dofs"],
-                "grid": f"{stats['grid'][0]}x{stats['grid'][1]}",
-                "overlap": stats["overlap"],
-                "num_shards": stats["num_shards"],
-                "iterations": stats["iterations"],
-                "converged": stats["converged"],
-                "matches_monolithic": bool(rel_u < 1e-8 and rel_vm < 1e-8),
-            }
-            if rss_gated:
-                gate["rss_below_monolithic"] = (
-                    shard["peak_rss_bytes"] < mono["peak_rss_bytes"]
-                )
-            # Informational, not gated: GMRES on the matrix-free operator.
-            free["rel_displacement_error_vs_monolithic"] = float(
-                np.linalg.norm(u_free - u_mono) / np.linalg.norm(u_mono)
-            )
-            entries[f"{size}x{size}"] = {
-                "monolithic": mono,
-                "sharded": shard,
-                "matrix_free": free,
-                "comparison": {
-                    "rel_displacement_error": rel_u,
-                    "rel_max_von_mises_error": rel_vm,
-                    "rss_ratio_sharded_over_monolithic": round(
-                        shard["peak_rss_bytes"] / mono["peak_rss_bytes"], 3
-                    ),
-                    "solve_time_ratio_sharded_over_monolithic": round(
-                        shard["solve_seconds"] / max(mono["solve_seconds"], 1e-9), 2
-                    ),
-                },
-                "gate": gate,
-            }
-
-        output = os.environ.get("REPRO_BENCH_OUTPUT")
-        if not output:
-            return
-        cold = [s for hit, s in local_stage_seconds if not hit]
-        warm = [s for hit, s in local_stage_seconds if hit]
-        from repro._version import __version__
-
-        document = {
-            "bench_schema_version": 1,
-            "issue": 8,
-            "description": (
-                "Sharded vs monolithic global stage: solve time and peak RSS "
-                "per array size (each solve in its own process), displacement/"
-                "von-Mises equivalence, cold vs warm ROM cache; matrix-free "
-                "GMRES recorded per size, not gated."
-            ),
-            "environment": {
-                "python": platform.python_version(),
-                "repro": __version__,
-                "platform": platform.platform(),
-            },
-            "runs": {},
-            "summary": {},
-        }
-        path = Path(output)
-        if path.exists():  # merge scales into one committed artifact
-            document = json_module.loads(path.read_text())
-        document["runs"].update(entries)
-        document["summary"] = {
-            "cold_local_stage_seconds": round(min(cold), 4) if cold else None,
-            "warm_local_stage_seconds": round(min(warm), 4) if warm else None,
-            "sizes": sorted(document["runs"]),
-        }
-        path.write_text(json_module.dumps(document, indent=1) + "\n")

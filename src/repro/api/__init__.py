@@ -25,7 +25,6 @@ from repro.api.spec import (
     MeshSpec,
     OutputSpec,
     ResolvedCase,
-    ShardSpec,
     SimulationSpec,
     SolverSpec,
     SpecError,
@@ -41,7 +40,6 @@ __all__ = [
     "MaterialOverride",
     "MaterialsSpec",
     "MeshSpec",
-    "ShardSpec",
     "SolverSpec",
     "LoadCase",
     "SubModelSpec",

@@ -46,7 +46,6 @@ from repro.utils.timing import StageTimings, Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.baselines.coarse_model import CoarsePackageSolution
-    from repro.api.spec import ShardSpec
     from repro.rom.workflow import MoreStressSimulator, SimulationResult
 
 _logger = get_logger("api.executor")
@@ -59,8 +58,6 @@ def execute_cases(
     boundary: str = "clamped",
     displacement_fields=None,
     batched: bool | None = None,
-    shard: "ShardSpec | None" = None,
-    heartbeat: Callable[[], None] | None = None,
 ) -> "list[SimulationResult]":
     """Solve one layout for one or many thermal loads (the shared engine).
 
@@ -71,15 +68,7 @@ def execute_cases(
     plain per-case solve, ``batched=True`` the factorize-once
     :meth:`GlobalStage.solve_many` path; the default batches whenever more
     than one load is given.
-
-    ``shard`` opts the global stage into the out-of-core sharded solver
-    (:func:`repro.rom.shard.solve_sharded`) — in auto mode (budget only) the
-    planner may still decide the monolithic path fits, in which case the
-    paths above apply unchanged.  ``heartbeat`` is called at every shard
-    boundary of a sharded solve; an exception raised from it aborts the run
-    (the job service's cancellation hook).
     """
-    from repro.rom.shard import plan_for, solve_sharded
     from repro.rom.workflow import SimulationResult
 
     loads = [
@@ -88,16 +77,6 @@ def execute_cases(
     ]
     if batched is None:
         batched = len(loads) > 1
-    plan = None
-    if shard is not None:
-        plan = plan_for(
-            layout.rows,
-            layout.cols,
-            simulator.scheme.num_element_dofs,
-            grid=shard.grid,
-            overlap=shard.overlap,
-            memory_budget_bytes=shard.memory_budget_bytes,
-        )
     include_dummy = layout.num_dummy_blocks > 0
     roms = simulator.build_roms(include_dummy=include_dummy)
 
@@ -107,32 +86,8 @@ def execute_cases(
         solver_options=simulator.solver_options,
     )
     timer = Timer()
-    shard_stats: "list[dict | None]" = [None] * len(loads)
     with timer:
-        if plan is not None:
-            # Out-of-core path: each load runs the Schwarz iteration over
-            # the same shard plan (the plan depends only on the layout).
-            solutions = []
-            for load_index, load in enumerate(loads):
-                displacement_field = displacement_fields
-                if isinstance(displacement_field, (list, tuple)):
-                    displacement_field = displacement_field[load_index]
-                solution, stats = solve_sharded(
-                    stage,
-                    layout,
-                    load,
-                    plan=plan,
-                    tolerance=shard.tolerance,
-                    max_iterations=shard.max_iterations,
-                    max_inflight=shard.max_inflight,
-                    jobs=simulator.jobs,
-                    boundary_condition=boundary,
-                    displacement_field=displacement_field,
-                    heartbeat=heartbeat,
-                )
-                solutions.append(solution)
-                shard_stats[load_index] = stats.to_dict()
-        elif batched:
+        if batched:
             solutions = stage.solve_many(
                 layout,
                 loads,
@@ -162,9 +117,8 @@ def execute_cases(
             local_stage_seconds=simulator.local_stage_seconds,
             global_stage_seconds=timer.elapsed,
             peak_memory_bytes=peak_memory,
-            shard_stats=stats_entry,
         )
-        for solution, stats_entry in zip(solutions, shard_stats)
+        for solution in solutions
     ]
 
 
@@ -211,7 +165,6 @@ def _save_group_checkpoint(
                 "local_stage_seconds": result.local_stage_seconds,
                 "global_stage_seconds": result.global_stage_seconds,
                 "peak_memory_bytes": result.peak_memory_bytes,
-                "shard": result.shard_stats,
                 "solver_stats": (
                     None
                     if result.solution.solver_stats is None
@@ -309,7 +262,6 @@ def _restore_group_checkpoint(
                 local_stage_seconds=float(info.get("local_stage_seconds", 0.0)),
                 global_stage_seconds=float(info.get("global_stage_seconds", 0.0)),
                 peak_memory_bytes=int(info.get("peak_memory_bytes", 0)),
-                shard_stats=info.get("shard"),
             )
         )
     _logger.info("executor: resumed group %d from %s", group_index, path)
@@ -381,9 +333,7 @@ def run(
         result (including any requested post-processing) is materialized.
         The job service threads its status updates — and cooperative
         cancellation/timeout, which raise from inside the callback — through
-        here; an exception raised by the callback aborts the run.  Sharded
-        solves additionally invoke the callback at every shard boundary, so
-        a cancel lands between shards instead of waiting out the whole case.
+        here; an exception raised by the callback aborts the run.
     checkpoint_dir:
         Optional directory of per-group completion markers.  Each solved
         case group writes one atomically-renamed ``groupN.npz`` there; a
@@ -462,14 +412,6 @@ def run(
                 checkpoint_dir, group_index, spec_hash, members, simulator, layout
             )
         if results is None:
-            heartbeat = None
-            if progress is not None:
-                group_name = members[0][1].name
-
-                def heartbeat(_name: str = group_name) -> None:
-                    done = sum(1 for entry in case_results if entry is not None)
-                    progress(done, len(cases), _name)
-
             results = execute_cases(
                 simulator,
                 layout,
@@ -477,8 +419,6 @@ def run(
                 boundary=boundary,
                 displacement_fields=displacement_fields,
                 batched=len(members) > 1,
-                shard=spec.solver.shard,
-                heartbeat=heartbeat,
             )
             if checkpoint_dir is not None:
                 _save_group_checkpoint(
@@ -514,7 +454,6 @@ def run(
                 peak_memory_bytes=result.peak_memory_bytes,
                 solver_method=stats.method if stats is not None else "unknown",
                 group=group_index,
-                shard=result.shard_stats,
                 field_data=field_data,
                 hotspots=hotspot_report,
                 simulation=result,

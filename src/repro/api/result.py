@@ -78,10 +78,6 @@ class CaseResult:
     solver_method:
         The solver/backed actually used (from :class:`SolveStats`), e.g.
         ``"gmres"`` or ``"direct-batched"``.
-    shard:
-        Sharded-solve provenance (shard grid, overlap, Schwarz iterations,
-        per-shard peak RSS — :meth:`repro.rom.shard.ShardRunStats.to_dict`)
-        when the case ran out-of-core, otherwise ``None``.
     field_data:
         The full volumetric :class:`~repro.postprocess.fields.ArrayField` of
         this case when the spec requested one (:class:`OutputSpec`),
@@ -107,7 +103,6 @@ class CaseResult:
     peak_memory_bytes: int
     solver_method: str
     group: int
-    shard: dict[str, Any] | None = None
     field_data: ArrayField | None = field(default=None, repr=False)
     hotspots: HotspotReport | None = field(default=None, repr=False)
     simulation: "SimulationResult | None" = field(default=None, repr=False)
@@ -136,7 +131,6 @@ class CaseResult:
             "global_stage_seconds": self.global_stage_seconds,
             "peak_memory_bytes": self.peak_memory_bytes,
             "solver_method": self.solver_method,
-            "shard": self.shard,
             "field_shape": [int(n) for n in self.von_mises.shape],
             "peak_von_mises": self.peak_von_mises,
             "mean_von_mises": self.mean_von_mises,
@@ -369,13 +363,13 @@ class RunResult:
                     peak_memory_bytes=int(entry["peak_memory_bytes"]),
                     solver_method=entry["solver_method"],
                     group=int(entry["group"]),
-                    shard=entry.get("shard"),
                     field_data=field_data,
                     hotspots=hotspots,
                 )
             )
-        # Older manifests also carry a record of the dense array backend;
-        # it is ignored (every run computed on numpy).
+        # Older manifests also carry a record of the dense array backend
+        # and per-case records of the removed out-of-core solve; both are
+        # ignored.
         return cls(
             spec=spec,
             cases=tuple(cases),

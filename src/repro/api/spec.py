@@ -60,8 +60,9 @@ from repro.utils.validation import (
 #: * 2 — adds ``solver.array_backend``.  Only numpy remains: the field is
 #:   written as the constant ``"numpy"``, accepted on input as ``"numpy"``
 #:   (or ``"np"``) and otherwise ignored, and any other value is rejected.
-#: * 3 — adds ``solver.shard`` (out-of-core sharded global stage); purely
-#:   additive, older documents load unchanged with sharding disabled.
+#: * 3 — adds ``solver.shard`` (an out-of-core global stage, since removed).
+#:   The field is written as the constant ``null``, accepted on input only
+#:   as ``null`` and otherwise rejected.
 SCHEMA_VERSION = 3
 
 #: Spec document versions this build can read.
@@ -443,124 +444,11 @@ class MeshSpec:
 
 
 # --------------------------------------------------------------------------- #
-# sharding
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShardSpec:
-    """Out-of-core sharded global stage (:mod:`repro.rom.shard`).
-
-    The array layout is partitioned into overlapping rectangular shards that
-    are assembled, factorized and solved independently under a bounded
-    in-flight window, then reconciled Schwarz-style on the overlap DoFs —
-    peak memory tracks one shard's system, never the monolithic
-    factorization.
-
-    Exactly one selection mode applies: an explicit ``grid`` always shards
-    on that ``(grid_rows, grid_cols)`` tiling, while ``memory_budget_bytes``
-    alone enables *auto* mode — the planner shards (choosing the smallest
-    grid whose per-shard assembly estimate fits the budget) only when the
-    monolithic estimate exceeds it, so small arrays keep the direct path.
-    """
-
-    grid: tuple[int, int] | None = None
-    overlap: int = 2
-    tolerance: float = 1e-10
-    max_iterations: int = 100
-    memory_budget_bytes: int | None = None
-    max_inflight: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.grid is not None:
-            grid = tuple(self.grid)
-            if len(grid) != 2:
-                raise ValidationError(
-                    f"grid must be a (rows, cols) pair or null, got {self.grid!r}"
-                )
-            for value in grid:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValidationError(
-                        f"grid entries must be integers, got {value!r}"
-                    )
-                check_positive_int("grid", value)
-            object.__setattr__(self, "grid", grid)
-        if self.grid is None and self.memory_budget_bytes is None:
-            raise ValidationError(
-                "shard spec needs a grid (explicit tiling) or "
-                "memory_budget_bytes (auto mode); both are null"
-            )
-        check_positive_int("overlap", self.overlap)
-        check_in_range("tolerance", self.tolerance, 0.0, 1.0, inclusive=False)
-        check_positive_int("max_iterations", self.max_iterations)
-        if self.memory_budget_bytes is not None:
-            check_positive_int("memory_budget_bytes", self.memory_budget_bytes)
-        if self.max_inflight is not None:
-            check_positive_int("max_inflight", self.max_inflight)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "grid": None if self.grid is None else list(self.grid),
-            "overlap": self.overlap,
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "memory_budget_bytes": self.memory_budget_bytes,
-            "max_inflight": self.max_inflight,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "solver.shard") -> "ShardSpec":
-        data = _as_mapping(data, path)
-        allowed = [f.name for f in fields(cls)]
-        _reject_unknown(data, allowed, path)
-        raw_grid = _get(data, "grid", path, None)
-        grid: tuple[int, int] | None
-        if raw_grid is None:
-            grid = None
-        else:
-            if not isinstance(raw_grid, (list, tuple)) or len(raw_grid) != 2:
-                raise SpecError(
-                    f"{path}.grid: expected a [rows, cols] pair or null, "
-                    f"got {raw_grid!r}"
-                )
-            grid = (
-                _integer(raw_grid[0], f"{path}.grid[0]"),
-                _integer(raw_grid[1], f"{path}.grid[1]"),
-            )
-        kwargs = {
-            "grid": grid,
-            "overlap": _integer(
-                _get(data, "overlap", path, cls.overlap), f"{path}.overlap"
-            ),
-            "tolerance": _number(
-                _get(data, "tolerance", path, cls.tolerance), f"{path}.tolerance"
-            ),
-            "max_iterations": _integer(
-                _get(data, "max_iterations", path, cls.max_iterations),
-                f"{path}.max_iterations",
-            ),
-            "memory_budget_bytes": _optional(
-                _get(data, "memory_budget_bytes", path, None),
-                _integer,
-                f"{path}.memory_budget_bytes",
-            ),
-            "max_inflight": _optional(
-                _get(data, "max_inflight", path, None),
-                _integer,
-                f"{path}.max_inflight",
-            ),
-        }
-        return _construct(cls, kwargs, path)
-
-
-# --------------------------------------------------------------------------- #
 # solver
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SolverSpec:
-    """Global-stage solver configuration plus the local-stage worker count.
-
-    ``shard`` (version 3) opts the global stage into the out-of-core
-    sharded solver; ``None`` keeps the monolithic path.
-    """
+    """Global-stage solver configuration plus the local-stage worker count."""
 
     method: str = "gmres"
     backend: str | None = None
@@ -568,13 +456,8 @@ class SolverSpec:
     max_iterations: int = 5000
     gmres_restart: int = 100
     jobs: int | None = None
-    shard: ShardSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.shard is not None and not isinstance(self.shard, ShardSpec):
-            raise ValidationError(
-                f"shard must be a ShardSpec or None, got {self.shard!r}"
-            )
         if self.backend is not None:
             known = sorted({*backend_names(), *BACKEND_ALIASES})
             if self.backend not in known:
@@ -604,23 +487,32 @@ class SolverSpec:
             "max_iterations": self.max_iterations,
             "gmres_restart": self.gmres_restart,
             "jobs": self.jobs,
-            # Constant: every build computed on numpy.  Writing it keeps
-            # documents, spec hashes and the benchmark's committed reference
-            # spec identical to those of builds that had the field.
+            # Constants: every build computes on numpy, and the out-of-core
+            # global stage is gone.  Writing them keeps documents, spec
+            # hashes and the benchmark's committed reference spec identical
+            # to those of builds that had the fields.
             "array_backend": "numpy",
-            "shard": None if self.shard is None else self.shard.to_dict(),
+            "shard": None,
         }
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "solver") -> "SolverSpec":
         data = _as_mapping(data, path)
-        # "array_backend" is written as a constant (see to_dict); numpy is the
-        # only backend, so only that value loads, and it is ignored.
-        _reject_unknown(data, [f.name for f in fields(cls)] + ["array_backend"], path)
+        # The two legacy keys are written as constants (see to_dict): only
+        # those values load, and they are ignored.
+        _reject_unknown(
+            data, [f.name for f in fields(cls)] + ["array_backend", "shard"], path
+        )
         legacy = _get(data, "array_backend", path, "numpy")
         if not isinstance(legacy, str) or legacy.strip().lower() not in ("numpy", "np"):
             raise SpecError(
                 f"{path}.array_backend: only 'numpy' is supported, got {legacy!r}"
+            )
+        if _get(data, "shard", path, None) is not None:
+            raise SpecError(
+                f"{path}.shard: the sharded global stage was removed; the "
+                "matrix-free solve covers every array size, so only null "
+                "is accepted"
             )
         kwargs = {
             "method": _string(_get(data, "method", path, cls.method), f"{path}.method"),
@@ -638,12 +530,6 @@ class SolverSpec:
             ),
             "jobs": _optional(_get(data, "jobs", path, None), _integer, f"{path}.jobs"),
         }
-        raw_shard = _get(data, "shard", path, None)
-        kwargs["shard"] = (
-            None
-            if raw_shard is None
-            else ShardSpec.from_dict(raw_shard, f"{path}.shard")
-        )
         return _construct(cls, kwargs, path)
 
 
@@ -1101,7 +987,6 @@ __all__ = [
     "MaterialOverride",
     "MaterialsSpec",
     "MeshSpec",
-    "ShardSpec",
     "SolverSpec",
     "LoadCase",
     "SubModelSpec",

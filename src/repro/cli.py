@@ -63,7 +63,6 @@ from repro.api import (
     MeshSpec,
     OutputSpec,
     RunResult,
-    ShardSpec,
     SimulationSpec,
     SolverSpec,
     SpecError,
@@ -326,34 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "force full-field outputs (adding a default 'output' section if "
             "the spec has none) and write the exports + hotspot report to DIR"
-        ),
-    )
-    run.add_argument(
-        "--shards",
-        metavar="RxC",
-        default=None,
-        help=(
-            "solve the global stage out-of-core on an RxC shard grid "
-            "(e.g. 4x4); overrides the spec's solver.shard grid"
-        ),
-    )
-    run.add_argument(
-        "--shard-overlap",
-        type=int,
-        metavar="N",
-        default=None,
-        dest="shard_overlap",
-        help="overlap ring width in blocks between neighbouring shards (default 2)",
-    )
-    run.add_argument(
-        "--memory-budget",
-        type=int,
-        metavar="BYTES",
-        default=None,
-        dest="memory_budget",
-        help=(
-            "assembly memory budget enabling auto-sharding: the layout is "
-            "sharded only when the monolithic assembly estimate exceeds it"
         ),
     )
 
@@ -645,7 +616,8 @@ def _command_info() -> int:
 def _spec_from_args(args: argparse.Namespace) -> SimulationSpec:
     """Build the SimulationSpec the ``simulate``/``spec`` flags describe.
 
-    Raises :class:`SpecError` (caught by the commands, exit code 2) for
+    Raises :class:`ValidationError` (caught by the commands, exit code 2)
+    for an out-of-range flag, and its :class:`SpecError` subclass for
     mistakes spanning several flags, e.g. the same role overridden twice.
     """
     roles = [override.role for override in args.material]
@@ -685,13 +657,6 @@ def _print_run_summary(result: RunResult, verbose_cache: bool = True) -> None:
         print(f"case {case.name:14s}: {rows}x{cols} TSVs{where}, delta_t={case.delta_t:g} degC")
         print(f"  global stage    : {case.global_stage_seconds:.3f} s ({case.solver_method})")
         print(f"  reduced DoFs    : {case.num_global_dofs}")
-        if case.shard is not None:
-            grid = case.shard.get("grid") or ["?", "?"]
-            print(
-                f"  shards          : {grid[0]}x{grid[1]} "
-                f"(overlap {case.shard.get('overlap')}, "
-                f"{case.shard.get('iterations')} Schwarz iteration(s))"
-            )
         print(f"  peak von Mises  : {vm.max():.1f} MPa")
     print(f"local stage       : {result.local_stage_seconds:.2f} s (shared)")
     print(f"execution groups  : {result.num_case_groups} (one factorisation each)")
@@ -734,7 +699,7 @@ def _export_and_report(
 def _command_simulate(args: argparse.Namespace) -> int:
     try:
         spec = _spec_from_args(args)
-    except SpecError as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = run_simulation_spec(spec, rom_cache=args.rom_cache)
@@ -768,7 +733,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
 def _command_spec(args: argparse.Namespace) -> int:
     try:
         spec = _spec_from_args(args)
-    except SpecError as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     document = spec.to_json(indent=2)
@@ -838,60 +803,16 @@ def _command_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_shard_grid(text: str) -> tuple[int, int]:
-    """Parse the ``--shards RxC`` grid syntax (e.g. ``4x4``, ``2X3``)."""
-    parts = text.lower().split("x")
-    try:
-        rows, cols = (int(part) for part in parts)
-    except ValueError:
-        raise SpecError(
-            f"--shards expects RxC (e.g. 4x4), got {text!r}"
-        ) from None
-    return rows, cols
-
-
-def _shard_spec_from_args(
-    args: argparse.Namespace, spec: SimulationSpec
-) -> ShardSpec | None:
-    """The spec's shard section with any CLI overrides applied."""
-    if (
-        args.shards is None
-        and args.shard_overlap is None
-        and args.memory_budget is None
-    ):
-        return spec.solver.shard
-    kwargs: dict[str, Any] = (
-        {
-            field.name: getattr(spec.solver.shard, field.name)
-            for field in dataclasses.fields(ShardSpec)
-        }
-        if spec.solver.shard is not None
-        else {}
-    )
-    if args.shards is not None:
-        kwargs["grid"] = _parse_shard_grid(args.shards)
-    if args.shard_overlap is not None:
-        kwargs["overlap"] = args.shard_overlap
-    if args.memory_budget is not None:
-        kwargs["memory_budget_bytes"] = args.memory_budget
-    return ShardSpec(**kwargs)
-
-
 def _command_run(args: argparse.Namespace) -> int:
     path = Path(args.spec_path)
-    if not path.exists():
+    if not path.is_file():
         print(f"error: spec file {path} does not exist", file=sys.stderr)
         return 2
     try:
         spec = SimulationSpec.from_json(path.read_text())
-        shard = _shard_spec_from_args(args, spec)
-    except (SpecError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if shard is not spec.solver.shard:
-        spec = dataclasses.replace(
-            spec, solver=dataclasses.replace(spec.solver, shard=shard)
-        )
     if args.export_field and spec.output is None:
         spec = dataclasses.replace(spec, output=OutputSpec())
     # With --save the run checkpoints per case group under the destination,
@@ -1107,7 +1028,7 @@ def _command_submit(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient
 
     path = Path(args.spec_path)
-    if not path.exists():
+    if not path.is_file():
         print(f"error: spec file {path} does not exist", file=sys.stderr)
         return 2
     try:

@@ -8,10 +8,7 @@ per block *kind* to chunks of blocks
 each chunk straight into the preallocated output grid.  No block's fine
 field is built, so peak memory is the output grid plus the operators and
 one chunk's values — independent of the array size, which is what makes
-100x100-array exports tractable.  A sharded solve (:mod:`repro.shard`)
-streams through this path unchanged: the Schwarz iteration produces the
-same global DoF vector as the monolithic solve, so reconstruction never sees
-shards — only per-block DoFs.
+100x100-array exports tractable.
 
 The resulting :class:`ArrayField` is a structured (rectilinear) point grid:
 1-D global coordinate arrays ``x``/``y``/``z`` and point data of shape

@@ -7,14 +7,6 @@ from repro.rom.local_stage import LocalStage
 from repro.rom.global_dofs import GlobalDofManager
 from repro.rom.global_stage import GlobalStage, GlobalSolution
 from repro.rom.reconstruction import BlockFieldSampler, block_midplane_points
-from repro.rom.shard import (
-    ShardPlan,
-    ShardRunStats,
-    ShardTile,
-    plan_for,
-    plan_shards,
-    solve_sharded,
-)
 from repro.rom.workflow import MoreStressSimulator, SimulationResult
 from repro.rom.submodeling import SubModelingDriver
 
@@ -30,12 +22,6 @@ __all__ = [
     "GlobalSolution",
     "BlockFieldSampler",
     "block_midplane_points",
-    "ShardPlan",
-    "ShardRunStats",
-    "ShardTile",
-    "plan_for",
-    "plan_shards",
-    "solve_sharded",
     "MoreStressSimulator",
     "SimulationResult",
     "SubModelingDriver",

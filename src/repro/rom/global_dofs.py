@@ -59,9 +59,6 @@ class GlobalDofManager:
     numbering: str = "vectorized"
     _node_keys: np.ndarray = field(init=False, repr=False)
     _block_node_ids: np.ndarray = field(init=False, repr=False)
-    _lookup_index: "tuple[np.ndarray, np.ndarray] | None" = field(
-        init=False, repr=False, default=None
-    )
 
     def __post_init__(self) -> None:
         if self.numbering == "vectorized":
@@ -237,48 +234,6 @@ class GlobalDofManager:
                 [self.bottom_node_ids(), self.top_node_ids(), self.lateral_node_ids()]
             )
         )
-
-    def node_keys(self) -> np.ndarray:
-        """``(i, j, k)`` grid key of every global node, shape ``(N, 3)``, id order."""
-        return self._node_keys
-
-    def _pack_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Pack ``(N, 3)`` grid keys into int64 with this layout's strides."""
-        _, ny, nz = self.scheme.nodes_per_axis
-        stride_j = np.int64(self.layout.rows * (ny - 1) + 1)
-        stride_k = np.int64(nz)
-        return (keys[:, 0] * stride_j + keys[:, 1]) * stride_k + keys[:, 2]
-
-    def lookup_node_ids(self, keys: np.ndarray) -> np.ndarray:
-        """Global node ids of the given grid keys (vectorized reverse lookup).
-
-        Used by the sharded global stage to map a shard's local node keys
-        (offset into this layout's key space) back to parent node ids.  The
-        sorted packed-key index is built lazily on first use and reused.
-        Unknown keys raise :class:`ValidationError`.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 2 or keys.shape[1] != 3:
-            raise ValidationError(
-                f"lookup_node_ids expects (N, 3) grid keys, got shape {keys.shape}"
-            )
-        if self._lookup_index is None:
-            packed = self._pack_keys(self._node_keys)
-            order = np.argsort(packed)
-            self._lookup_index = (packed[order], order)
-        packed_sorted, order = self._lookup_index
-        queries = self._pack_keys(keys)
-        positions = np.searchsorted(packed_sorted, queries)
-        in_range = positions < packed_sorted.size
-        matched = np.zeros(queries.size, dtype=bool)
-        matched[in_range] = packed_sorted[positions[in_range]] == queries[in_range]
-        if not matched.all():
-            missing = keys[~matched]
-            raise ValidationError(
-                f"{missing.shape[0]} grid key(s) are not global nodes of this "
-                f"layout (first: {missing[0].tolist()})"
-            )
-        return order[positions]
 
     def node_dof_ids(self, node_ids: np.ndarray) -> np.ndarray:
         """Expand global node ids into their 3 displacement DoF ids (sorted)."""

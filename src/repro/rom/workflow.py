@@ -57,18 +57,12 @@ class SimulationResult:
         global stage, in bytes.  Manifests and executor checkpoints written
         before this meaning was adopted carry the global stage's peak
         ``tracemalloc`` bytes in the same field.
-    shard_stats:
-        Sharded-solve provenance (grid, overlap, Schwarz iterations, per-shard
-        peak RSS) as the plain dict of
-        :meth:`repro.rom.shard.ShardRunStats.to_dict`, or ``None`` for the
-        monolithic path.
     """
 
     solution: GlobalSolution
     local_stage_seconds: float
     global_stage_seconds: float
     peak_memory_bytes: int
-    shard_stats: dict | None = None
 
     def von_mises_midplane(self, points_per_block: int = 30) -> np.ndarray:
         """Gridded mid-plane von Mises stress over the TSV region."""

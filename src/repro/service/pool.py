@@ -149,7 +149,7 @@ class WorkerPool:
     rom_cache_max_bytes:
         Optional LRU size cap applied when the pool constructs the cache
         from a directory (an explicitly passed :class:`ROMCache` instance
-        keeps its own cap) — a long-lived shard fleet then cannot grow the
+        keeps its own cap) — a long-lived server then cannot grow the
         cache without bound.
     retry_backoff_seconds:
         Base of the exponential backoff between transient-failure retries.

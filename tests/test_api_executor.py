@@ -314,6 +314,36 @@ class TestCheckpointResume:
             assert resumed.case(name).solver_method == fresh.case(name).solver_method
         assert (checkpoint / "group1.npz").exists()
 
+    def test_marker_with_a_shard_entry_still_resumes(self, tmp_path, monkeypatch):
+        # Builds with the out-of-core global stage wrote a per-case "shard"
+        # record into each marker; it is ignored on restore.
+        import repro.api.executor as executor_module
+        from repro.utils.serialization import load_npz_bundle, save_npz_bundle
+
+        spec = self._spec()
+        checkpoint = tmp_path / "checkpoint"
+        fresh = run(spec, checkpoint_dir=checkpoint)
+        for marker in sorted(checkpoint.glob("group*.npz")):
+            arrays, metadata = load_npz_bundle(marker)
+            for info in metadata["results"]:
+                info["shard"] = {"grid": [2, 2], "overlap": 2, "iterations": 3}
+            save_npz_bundle(marker, arrays, metadata=metadata)
+
+        executed = []
+
+        def counting_execute(simulator, layout, delta_ts, **kwargs):
+            executed.append(tuple(delta_ts))
+            return []
+
+        monkeypatch.setattr(executor_module, "execute_cases", counting_execute)
+        resumed = run(spec, checkpoint_dir=checkpoint)
+        assert executed == []
+        for name in ("a", "b", "c"):
+            np.testing.assert_array_equal(
+                resumed.case(name).von_mises, fresh.case(name).von_mises
+            )
+            assert resumed.case(name).solver_method == fresh.case(name).solver_method
+
     def test_corrupt_marker_degrades_to_fresh_solve(self, tmp_path):
         spec = self._spec()
         checkpoint = tmp_path / "checkpoint"

@@ -224,6 +224,7 @@ class TestFailureModesNameTheField:
             ({"solver": {"rtol": float("nan")}}, "spec.solver"),
             ({"solver": {"gmres_restart": 0}}, "gmres_restart"),
             ({"solver": {"gmres_restart": -1}}, "gmres_restart"),
+            ({"solver": {"shard": {"grid": [2, 2]}}}, "spec.solver.shard"),
         ],
     )
     def test_bad_value_names_field(self, document, field):

@@ -132,20 +132,19 @@ class TestCLISolverBackendAndJobs:
         with pytest.raises(SystemExit):
             main(["simulate", "--solver-backend", "petsc"])
 
-    def test_invalid_jobs_rejected(self):
-        from repro.utils.validation import ValidationError
-
-        with pytest.raises(ValidationError):
-            main(
-                [
-                    "simulate",
-                    "--rows",
-                    "1",
-                    "--resolution",
-                    "tiny",
-                    "--nodes",
-                    "3",
-                    "--jobs",
-                    "0",
-                ]
-            )
+    def test_invalid_jobs_rejected(self, capsys):
+        code = main(
+            [
+                "simulate",
+                "--rows",
+                "1",
+                "--resolution",
+                "tiny",
+                "--nodes",
+                "3",
+                "--jobs",
+                "0",
+            ]
+        )
+        assert code == 2
+        assert "error: jobs must be >= 1" in capsys.readouterr().err

@@ -169,6 +169,11 @@ class TestSubmitCommand:
         assert rc == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_submit_directory_spec_path_is_usage_error(self, tmp_path, capsys):
+        rc = main(["submit", str(tmp_path), "--url", "http://127.0.0.1:1"])
+        assert rc == 2
+        assert f"spec file {tmp_path} does not exist" in capsys.readouterr().err
+
     def test_submit_unreachable_server_fails_cleanly(self, spec_file, capsys):
         rc = main(["submit", str(spec_file), "--url", "http://127.0.0.1:1", "--json"])
         assert rc == 1

@@ -145,6 +145,32 @@ class TestRunErrors:
         assert main(["run", str(bad)]) == 2
         assert "pitch" in capsys.readouterr().err
 
+    def test_directory_spec_path_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert f"spec file {tmp_path} does not exist" in capsys.readouterr().err
+
+
+class TestOutOfRangeFlags:
+    """An out-of-range flag is a usage error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("command", ["simulate", "spec"])
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--rows", "0", "rows"),
+            ("--nodes", "1", "nodes_per_axis"),
+            ("--pitch", "nan", "pitch"),
+            ("--points-per-block", "0", "points_per_block"),
+            ("--jobs", "0", "jobs"),
+        ],
+    )
+    def test_flag_rejected_with_exit_2(self, command, flag, value, field, capsys):
+        assert main([command, *FAST, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+        assert captured.out == ""
+
 
 class TestTablePresets:
     @pytest.mark.parametrize("table", ["table2", "table3"])

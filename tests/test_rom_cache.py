@@ -398,7 +398,7 @@ class TestConcurrentCacheWrites:
 
 
 class TestLRUEviction:
-    """Size-capped LRU eviction for long-lived shard fleets."""
+    """Size-capped LRU eviction for long-lived servers."""
 
     @staticmethod
     def _variant(fast_rom, pitch: float):

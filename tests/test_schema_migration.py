@@ -11,6 +11,7 @@ if the literals move without tests like these keeping up.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def _spec_document(version: int) -> dict:
 def _v1_spec_document() -> dict:
     """A spec document as the version-1 layout wrote it.
 
-    Version 1 predates the array-backend field and sharding: its solver
+    Version 1 predates the array-backend and shard fields: its solver
     section has neither ``array_backend`` nor ``shard``.
     """
     return _spec_document(1)
@@ -71,13 +72,13 @@ class TestSpecMigration:
     def test_v1_document_migration(self):
         spec = SimulationSpec.from_dict(_v1_spec_document())
         # Fields that post-date v1 come back as their defaults.
-        assert spec.solver.shard is None
+        assert spec.to_dict()["solver"]["shard"] is None
         # Re-serializing writes the *current* version: migration is one-way.
         assert spec.to_dict()["schema_version"] == SCHEMA_VERSION
 
     def test_v2_document_migration(self):
         spec = SimulationSpec.from_dict(_v2_spec_document())
-        assert spec.solver.shard is None
+        assert spec.to_dict()["solver"]["shard"] is None
         assert spec.to_dict()["schema_version"] == SCHEMA_VERSION
 
     def test_migrated_spec_solves_the_same_hash_space(self):
@@ -125,11 +126,45 @@ class TestRetiredArrayBackendField:
         assert spec.to_dict() == SimulationSpec().to_dict()
 
 
+class TestRetiredShardField:
+    """``solver.shard`` is gone: written as ``null``, only ``null`` loads."""
+
+    def test_null_loads_and_hashes_as_absent(self):
+        document = _spec_document(3)
+        assert document["solver"]["shard"] is None
+        spec = SimulationSpec.from_dict(document)
+        del document["solver"]["shard"]
+        without = SimulationSpec.from_dict(document)
+        assert spec == without == SimulationSpec()
+        assert spec.spec_hash() == without.spec_hash()
+
+    @pytest.mark.parametrize(
+        "value",
+        [{"grid": [2, 2]}, {"memory_budget_bytes": 1 << 30}, {}, True, 0, "4x4"],
+    )
+    def test_other_values_rejected_naming_the_field(self, value):
+        document = _spec_document(3)
+        document["solver"]["shard"] = value
+        with pytest.raises(SpecError, match=r"spec\.solver\.shard") as excinfo:
+            SimulationSpec.from_dict(document)
+        assert "removed" in str(excinfo.value)
+
+    def test_field_is_written_as_null(self):
+        assert SimulationSpec().to_dict()["solver"]["shard"] is None
+
+    def test_example_spec_hash_is_unchanged(self):
+        # The hash every saved run and checkpoint of this example carries.
+        path = Path(__file__).resolve().parents[1] / "examples/specs/load_sweep.json"
+        spec = SimulationSpec.from_json(path.read_text())
+        assert spec.spec_hash() == "72b93fd14aca8c83c3f1"
+
+
 class TestRunManifestMigration:
-    def test_manifest_with_array_backend_entry_round_trips(self, tmp_path):
-        # Builds that carried the array-backend layer also wrote a
-        # requested/resolved record into the manifest.
-        von_mises = np.arange(8.0).reshape(1, 2, 2, 2)
+    _VON_MISES = np.arange(8.0).reshape(1, 2, 2, 2)
+
+    @classmethod
+    def _saved(cls, directory) -> tuple[RunResult, dict]:
+        """Save a one-case result; return it and its manifest document."""
         result = RunResult(
             spec=SimulationSpec(),
             cases=(
@@ -139,7 +174,7 @@ class TestRunManifestMigration:
                     rows=1,
                     cols=2,
                     location=None,
-                    von_mises=von_mises,
+                    von_mises=cls._VON_MISES,
                     num_global_dofs=42,
                     local_stage_seconds=1.0,
                     global_stage_seconds=0.5,
@@ -150,19 +185,36 @@ class TestRunManifestMigration:
             ),
             num_case_groups=1,
         )
-        result.save(tmp_path)
-        manifest_path = tmp_path / "manifest.json"
-        document = json.loads(manifest_path.read_text())
+        result.save(directory)
+        document = json.loads((directory / "manifest.json").read_text())
         assert document["schema_version"] == ENVELOPE_VERSION
-        assert "array_backend" not in document["data"]
-        document["data"]["array_backend"] = {"requested": "numpy", "resolved": "numpy"}
-        manifest_path.write_text(json.dumps(document))
+        return result, document
 
-        loaded = RunResult.load(tmp_path)
+    def _assert_loads_as(self, directory, result: RunResult) -> None:
+        loaded = RunResult.load(directory)
         assert loaded.spec == result.spec
         assert loaded.spec_hash == result.spec_hash
-        np.testing.assert_array_equal(loaded.cases[0].von_mises, von_mises)
+        np.testing.assert_array_equal(loaded.cases[0].von_mises, self._VON_MISES)
         assert loaded.manifest() == result.manifest()
+
+    def test_manifest_with_array_backend_entry_round_trips(self, tmp_path):
+        # Builds that carried the array-backend layer also wrote a
+        # requested/resolved record into the manifest.
+        result, document = self._saved(tmp_path)
+        assert "array_backend" not in document["data"]
+        document["data"]["array_backend"] = {"requested": "numpy", "resolved": "numpy"}
+        (tmp_path / "manifest.json").write_text(json.dumps(document))
+        self._assert_loads_as(tmp_path, result)
+
+    def test_manifest_with_per_case_shard_entry_loads(self, tmp_path):
+        # Builds with the out-of-core global stage wrote a per-case "shard"
+        # record (null on monolithic runs); it is ignored on load.
+        result, document = self._saved(tmp_path)
+        case = document["data"]["cases"][0]
+        assert "shard" not in case
+        case["shard"] = {"grid": [2, 2]}
+        (tmp_path / "manifest.json").write_text(json.dumps(document))
+        self._assert_loads_as(tmp_path, result)
 
 
 class TestEnvelopeMigration:

@@ -255,6 +255,29 @@ class TestWorkerPool:
         finally:
             pool.shutdown()
 
+    def test_checkpoint_dir_offered_only_to_accepting_run_fns(self, tmp_path):
+        store = JobStore(tmp_path)
+        seen = {}
+
+        def run_fn(spec, rom_cache=None, progress=None, **kwargs):
+            seen.update(kwargs)
+            checkpoint = Path(kwargs["checkpoint_dir"])
+            checkpoint.mkdir(parents=True, exist_ok=True)
+            (checkpoint / "group0.npz").write_bytes(b"marker")
+            return FakeResult()
+
+        job, _ = store.submit(TINY_SPEC)
+        pool = WorkerPool(store, workers=1, run_fn=run_fn)
+        pool.start()
+        try:
+            wait_until(lambda: store.get(job.id).is_terminal)
+        finally:
+            pool.shutdown()
+        assert store.get(job.id).state == "done"
+        expected = store.result_dir(store.get(job.id)) / "checkpoint"
+        assert Path(seen["checkpoint_dir"]) == expected
+        assert not expected.exists()  # markers removed after the saved result
+
 
 @pytest.fixture()
 def fake_server(tmp_path):
@@ -466,114 +489,6 @@ class TestServerEndToEnd:
             assert record2["id"] != record["id"]
             assert client.wait(record2["id"], timeout=120)["state"] == "done"
             assert client.stats()["rom_cache"]["hits"] >= 1
-
-
-SHARD_SPEC = {
-    **TINY_SPEC,
-    "name": "tiny-sharded",
-    "solver": {"shard": {"grid": [2, 2], "overlap": 1}},
-}
-
-
-class TestShardedService:
-    """Sharded specs through the job service: provenance, cancel, resume."""
-
-    def test_sharded_job_records_shard_provenance(self, tmp_path):
-        store = JobStore(tmp_path)
-        job, _ = store.submit(SHARD_SPEC)
-        pool = WorkerPool(store, workers=1)  # the real executor
-        pool.start()
-        try:
-            wait_until(lambda: store.get(job.id).is_terminal, timeout=300)
-        finally:
-            pool.shutdown()
-        done = store.get(job.id)
-        assert done.state == "done", done.error
-        manifest = json.loads(
-            (store.result_dir(done) / "manifest.json").read_text()
-        )
-        case = manifest["data"]["cases"][0]
-        assert case["shard"]["grid"] == [2, 2]
-        assert case["shard"]["overlap"] == 1
-        assert case["shard"]["converged"] is True
-        assert case["solver_method"] == "shard-2x2-schwarz"
-        # The checkpoint markers were cleaned up after the successful save.
-        assert not (store.result_dir(done) / "checkpoint").exists()
-
-    def test_cancel_lands_at_a_shard_boundary_without_orphans(self, tmp_path):
-        store = JobStore(tmp_path)
-        # Unreachable tolerance + a deep iteration budget: the job can only
-        # end through the cooperative cancel at a shard boundary.
-        spec = {
-            **SHARD_SPEC,
-            "name": "tiny-sharded-cancel",
-            "solver": {
-                "shard": {
-                    "grid": [2, 2],
-                    "overlap": 1,
-                    "tolerance": 1e-18,
-                    "max_iterations": 100000,
-                }
-            },
-        }
-        job, _ = store.submit(spec)
-        pool = WorkerPool(store, workers=1)
-        pool.start()
-        try:
-            wait_until(lambda: store.get(job.id).state == "running", timeout=60)
-            store.request_cancel(job.id)
-            wait_until(lambda: store.get(job.id).is_terminal, timeout=120)
-        finally:
-            pool.shutdown()
-        assert store.get(job.id).state == "cancelled"
-        # No temporary files or stale locks anywhere in the store directory.
-        orphans = [
-            path
-            for pattern in (".tmp-*", ".lock-*")
-            for path in Path(tmp_path).rglob(pattern)
-        ]
-        assert orphans == []
-
-    def test_restart_resumes_sharded_job(self, tmp_path):
-        store = JobStore(tmp_path)
-        job, _ = store.submit(SHARD_SPEC)
-        store.mark_running(job.id)  # a worker picked it up, then was killed
-        restarted = JobStore(tmp_path)
-        pool = WorkerPool(restarted, workers=1)
-        pool.start()  # recover() re-queues the orphaned running job
-        try:
-            wait_until(lambda: restarted.get(job.id).is_terminal, timeout=300)
-        finally:
-            pool.shutdown()
-        done = restarted.get(job.id)
-        assert done.state == "done", done.error
-        manifest = json.loads(
-            (restarted.result_dir(done) / "manifest.json").read_text()
-        )
-        assert manifest["data"]["cases"][0]["shard"]["grid"] == [2, 2]
-
-    def test_checkpoint_dir_offered_only_to_accepting_run_fns(self, tmp_path):
-        store = JobStore(tmp_path)
-        seen = {}
-
-        def run_fn(spec, rom_cache=None, progress=None, **kwargs):
-            seen.update(kwargs)
-            checkpoint = Path(kwargs["checkpoint_dir"])
-            checkpoint.mkdir(parents=True, exist_ok=True)
-            (checkpoint / "group0.npz").write_bytes(b"marker")
-            return FakeResult()
-
-        job, _ = store.submit(TINY_SPEC)
-        pool = WorkerPool(store, workers=1, run_fn=run_fn)
-        pool.start()
-        try:
-            wait_until(lambda: store.get(job.id).is_terminal)
-        finally:
-            pool.shutdown()
-        assert store.get(job.id).state == "done"
-        expected = store.result_dir(store.get(job.id)) / "checkpoint"
-        assert Path(seen["checkpoint_dir"]) == expected
-        assert not expected.exists()  # markers removed after the saved result
 
     def test_cache_cap_flows_to_pool_and_stats(self, tmp_path):
         server = JobServer(tmp_path, rom_cache_max_bytes=123456)
