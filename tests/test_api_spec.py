@@ -6,6 +6,7 @@ and the failure modes: every malformed document must fail with a
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -352,3 +353,408 @@ class TestOutputSpec:
     def test_output_must_be_output_spec(self):
         with pytest.raises(ValidationError, match="OutputSpec"):
             SimulationSpec(output="vtk")
+
+
+_OVERRIDE = {"role": "copper", "young_modulus_gpa": 100.0, "poisson_ratio": 0.3, "cte_ppm": 17.0}
+_RESOLUTION = {"n_core": 2, "n_liner": 1, "n_outer": 2, "n_z": 3}
+
+
+def _override(drop: str | None = None, **changes) -> dict:
+    entry = {key: value for key, value in _OVERRIDE.items() if key != drop}
+    return {"materials": {"overrides": [{**entry, **changes}]}}
+
+
+def _resolution(drop: str | None = None, **changes) -> dict:
+    entry = {key: value for key, value in _RESOLUTION.items() if key != drop}
+    return {"mesh": {"resolution": {**entry, **changes}}}
+
+
+def _error(document) -> str:
+    with pytest.raises(SpecError) as excinfo:
+        SimulationSpec.from_dict(document)
+    return str(excinfo.value)
+
+
+class TestSpecErrorTextIsPinned:
+    """Exact ``SpecError`` text of malformed documents and exact spec hashes.
+
+    Saved runs, checkpoints and service jobs are keyed by ``spec_hash``, and
+    users read the error text, so both must survive any rewrite of the codec.
+    """
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            pytest.param([], "spec: expected an object, got list", id="spec-not-object"),
+            pytest.param({"name": 3}, "spec.name: expected a string, got 3", id="spec.name-type"),
+            pytest.param(
+                {"name": None}, "spec.name: expected a string, got None", id="spec.name-null"
+            ),
+            pytest.param(
+                {"turbo": True},
+                "spec.turbo: unknown field (allowed fields: ['geometry', 'load_cases', "
+                "'materials', 'mesh', 'name', 'output', 'schema_version', 'solver', "
+                "'submodel'])",
+                id="spec.unknown",
+            ),
+            pytest.param(
+                {"schema_version": "3"},
+                "spec.schema_version: unsupported version '3' "
+                "(this build reads versions [1, 2, 3])",
+                id="spec.schema_version-string",
+            ),
+            pytest.param(
+                {"geometry": []},
+                "spec.geometry: expected an object, got list",
+                id="spec.geometry-not-object",
+            ),
+            pytest.param(
+                {"geometry": None},
+                "spec.geometry: expected an object, got NoneType",
+                id="spec.geometry-null",
+            ),
+            pytest.param(
+                {"load_cases": None},
+                "spec.load_cases: expected a list, got None",
+                id="spec.load_cases-null",
+            ),
+            pytest.param(
+                {"load_cases": [3]},
+                "spec.load_cases[0]: expected an object, got int",
+                id="spec.load_cases-item-not-object",
+            ),
+            pytest.param(
+                {"submodel": "loc1"},
+                "spec.submodel: expected an object, got str",
+                id="spec.submodel-not-object",
+            ),
+            pytest.param(
+                {"output": True},
+                "spec.output: expected an object, got bool",
+                id="spec.output-not-object",
+            ),
+            pytest.param(
+                {"geometry": {"pitch": "wide"}},
+                "spec.geometry.pitch: expected a number, got 'wide'",
+                id="geometry.pitch-type",
+            ),
+            pytest.param(
+                {"geometry": {"pitch": None}},
+                "spec.geometry.pitch: expected a number, got None",
+                id="geometry.pitch-null",
+            ),
+            pytest.param(
+                {"geometry": {"rows": 2.5}},
+                "spec.geometry.rows: expected an integer, got 2.5",
+                id="geometry.rows-float",
+            ),
+            pytest.param(
+                {"geometry": {"rows": True}},
+                "spec.geometry.rows: expected an integer, got True",
+                id="geometry.rows-bool",
+            ),
+            pytest.param(
+                {"geometry": {"cols": "x"}},
+                "spec.geometry.cols: expected an integer, got 'x'",
+                id="geometry.cols-type",
+            ),
+            pytest.param(
+                {"geometry": {"warp": 1.0}},
+                "spec.geometry.warp: unknown field (allowed fields: ['cols', 'diameter', "
+                "'height', 'liner_thickness', 'pitch', 'rows'])",
+                id="geometry.unknown",
+            ),
+            pytest.param(
+                {"materials": {"base": 1}},
+                "spec.materials.base: expected a string, got 1",
+                id="materials.base-type",
+            ),
+            pytest.param(
+                {"materials": {"overrides": {}}},
+                "spec.materials.overrides: expected a list, got {}",
+                id="materials.overrides-not-list",
+            ),
+            pytest.param(
+                {"materials": {"overrides": None}},
+                "spec.materials.overrides: expected a list, got None",
+                id="materials.overrides-null",
+            ),
+            pytest.param(
+                {"materials": {"extra": 1}},
+                "spec.materials.extra: unknown field (allowed fields: ['base', 'overrides'])",
+                id="materials.unknown",
+            ),
+            pytest.param(
+                {"materials": {"overrides": [1]}},
+                "spec.materials.overrides[0]: expected an object, got int",
+                id="override-not-object",
+            ),
+            pytest.param(
+                _override(role=3),
+                "spec.materials.overrides[0].role: expected a string, got 3",
+                id="override.role-type",
+            ),
+            pytest.param(
+                _override(young_modulus_gpa="hard"),
+                "spec.materials.overrides[0].young_modulus_gpa: expected a number, got 'hard'",
+                id="override.young_modulus_gpa-type",
+            ),
+            pytest.param(
+                _override(drop="young_modulus_gpa"),
+                "spec.materials.overrides[0].young_modulus_gpa: required field is missing",
+                id="override.young_modulus_gpa-missing",
+            ),
+            pytest.param(
+                _override(cte_ppm=False),
+                "spec.materials.overrides[0].cte_ppm: expected a number, got False",
+                id="override.cte_ppm-bool",
+            ),
+            pytest.param(
+                _override(colour="red"),
+                "spec.materials.overrides[0].colour: unknown field (allowed fields: "
+                "['cte_ppm', 'poisson_ratio', 'role', 'young_modulus_gpa'])",
+                id="override.unknown",
+            ),
+            pytest.param(
+                {"mesh": {"resolution": 5}},
+                "spec.mesh.resolution: expected a preset name or an object, got 5",
+                id="mesh.resolution-type",
+            ),
+            pytest.param(
+                {"mesh": {"resolution": None}},
+                "spec.mesh.resolution: expected a preset name or an object, got None",
+                id="mesh.resolution-null",
+            ),
+            pytest.param(
+                {"mesh": {"nodes_per_axis": "444"}},
+                "spec.mesh.nodes_per_axis: expected a list of 3 integers, got '444'",
+                id="mesh.nodes_per_axis-type",
+            ),
+            pytest.param(
+                {"mesh": {"nodes_per_axis": [4, 4]}},
+                "spec.mesh.nodes_per_axis: expected a list of 3 integers, got [4, 4]",
+                id="mesh.nodes_per_axis-length",
+            ),
+            pytest.param(
+                {"mesh": {"nodes_per_axis": [4, "4", 4]}},
+                "spec.mesh.nodes_per_axis[1]: expected an integer, got '4'",
+                id="mesh.nodes_per_axis-item",
+            ),
+            pytest.param(
+                {"mesh": {"points_per_block": "30"}},
+                "spec.mesh.points_per_block: expected an integer, got '30'",
+                id="mesh.points_per_block-type",
+            ),
+            pytest.param(
+                {"mesh": {"refine": True}},
+                "spec.mesh.refine: unknown field (allowed fields: ['nodes_per_axis', "
+                "'points_per_block', 'resolution'])",
+                id="mesh.unknown",
+            ),
+            pytest.param(
+                _resolution(n_core=2.0),
+                "spec.mesh.resolution.n_core: expected an integer, got 2.0",
+                id="resolution.n_core-float",
+            ),
+            pytest.param(
+                _resolution(drop="n_liner"),
+                "spec.mesh.resolution.n_liner: required field is missing",
+                id="resolution.n_liner-missing",
+            ),
+            pytest.param(
+                _resolution(outer_ratio="x"),
+                "spec.mesh.resolution.outer_ratio: expected a number, got 'x'",
+                id="resolution.outer_ratio-type",
+            ),
+            pytest.param(
+                _resolution(n_core=0),
+                "spec.mesh.resolution: n_core must be >= 1, got 0",
+                id="resolution.n_core-invalid",
+            ),
+            pytest.param(
+                _resolution(n_shell=1),
+                "spec.mesh.resolution.n_shell: unknown field (allowed fields: ['n_core', "
+                "'n_liner', 'n_outer', 'n_z', 'outer_ratio', 'z_refinement'])",
+                id="resolution.unknown",
+            ),
+            pytest.param(
+                {"solver": {"method": 1}},
+                "spec.solver.method: expected a string, got 1",
+                id="solver.method-type",
+            ),
+            pytest.param(
+                {"solver": {"method": None}},
+                "spec.solver.method: expected a string, got None",
+                id="solver.method-null",
+            ),
+            pytest.param(
+                {"solver": {"backend": 2}},
+                "spec.solver.backend: expected a string, got 2",
+                id="solver.backend-type",
+            ),
+            pytest.param(
+                {"solver": {"rtol": "tight"}},
+                "spec.solver.rtol: expected a number, got 'tight'",
+                id="solver.rtol-type",
+            ),
+            pytest.param(
+                {"solver": {"max_iterations": 1.5}},
+                "spec.solver.max_iterations: expected an integer, got 1.5",
+                id="solver.max_iterations-float",
+            ),
+            pytest.param(
+                {"solver": {"gmres_restart": True}},
+                "spec.solver.gmres_restart: expected an integer, got True",
+                id="solver.gmres_restart-bool",
+            ),
+            pytest.param(
+                {"solver": {"jobs": "2"}},
+                "spec.solver.jobs: expected an integer, got '2'",
+                id="solver.jobs-type",
+            ),
+            pytest.param(
+                {"solver": {"preconditioner": "ilu"}},
+                "spec.solver.preconditioner: unknown field (allowed fields: ['array_backend', "
+                "'backend', 'gmres_restart', 'jobs', 'max_iterations', 'method', 'rtol', "
+                "'shard'])",
+                id="solver.unknown",
+            ),
+            pytest.param(
+                {"solver": {"array_backend": "cupy"}},
+                "spec.solver.array_backend: only 'numpy' is supported, got 'cupy'",
+                id="solver.array_backend-cupy",
+            ),
+            pytest.param(
+                {"solver": {"array_backend": 1}},
+                "spec.solver.array_backend: only 'numpy' is supported, got 1",
+                id="solver.array_backend-int",
+            ),
+            pytest.param(
+                {"solver": {"shard": 1}},
+                "spec.solver.shard: the sharded global stage was removed; the matrix-free "
+                "solve covers every array size, so only null is accepted",
+                id="solver.shard-int",
+            ),
+            pytest.param(
+                {"load_cases": [{"name": 1}]},
+                "spec.load_cases[0].name: expected a string, got 1",
+                id="load_case.name-type",
+            ),
+            pytest.param(
+                {"load_cases": [{"delta_t": "cold"}]},
+                "spec.load_cases[0].delta_t: expected a number, got 'cold'",
+                id="load_case.delta_t-type",
+            ),
+            pytest.param(
+                {"load_cases": [{"rows": "2"}]},
+                "spec.load_cases[0].rows: expected an integer, got '2'",
+                id="load_case.rows-type",
+            ),
+            pytest.param(
+                {"load_cases": [{}, {"cols": 2.0}]},
+                "spec.load_cases[1].cols: expected an integer, got 2.0",
+                id="load_case.cols-float",
+            ),
+            pytest.param(
+                {"submodel": {}, "load_cases": [{"location": 3}]},
+                "spec.load_cases[0].location: expected a string, got 3",
+                id="load_case.location-type",
+            ),
+            pytest.param(
+                {"load_cases": [{}, {"weight": 1}]},
+                "spec.load_cases[1].weight: unknown field (allowed fields: ['cols', "
+                "'delta_t', 'location', 'name', 'rows'])",
+                id="load_case.unknown",
+            ),
+            pytest.param(
+                {"submodel": {"dummy_ring_width": 1.0}},
+                "spec.submodel.dummy_ring_width: expected an integer, got 1.0",
+                id="submodel.dummy_ring_width-float",
+            ),
+            pytest.param(
+                {"submodel": {"coarse_inplane_cells": "x"}},
+                "spec.submodel.coarse_inplane_cells: expected an integer, got 'x'",
+                id="submodel.coarse_inplane_cells-type",
+            ),
+            pytest.param(
+                {"submodel": {"package_scale": "big"}},
+                "spec.submodel.package_scale: expected a number, got 'big'",
+                id="submodel.package_scale-type",
+            ),
+            pytest.param(
+                {"submodel": {"location": 5}},
+                "spec.submodel.location: expected a string, got 5",
+                id="submodel.location-type",
+            ),
+            pytest.param(
+                {"submodel": {"ring": 1}},
+                "spec.submodel.ring: unknown field (allowed fields: ['coarse_inplane_cells', "
+                "'dummy_ring_width', 'location', 'package_scale'])",
+                id="submodel.unknown",
+            ),
+            pytest.param(
+                {"output": {"formats": "vtk"}},
+                "spec.output.formats: expected a list, got 'vtk'",
+                id="output.formats-type",
+            ),
+            pytest.param(
+                {"output": {"formats": [1]}},
+                "spec.output.formats[0]: expected a string, got 1",
+                id="output.formats-item",
+            ),
+            pytest.param(
+                {"output": {"points_per_block": "x"}},
+                "spec.output.points_per_block: expected an integer, got 'x'",
+                id="output.points_per_block-type",
+            ),
+            pytest.param(
+                {"output": {"z_planes": 5.0}},
+                "spec.output.z_planes: expected an integer, got 5.0",
+                id="output.z_planes-float",
+            ),
+            pytest.param(
+                {"output": {"hotspots": "yes"}},
+                "spec.output.hotspots: expected a boolean, got 'yes'",
+                id="output.hotspots-type",
+            ),
+            pytest.param(
+                {"output": {"hotspots": None}},
+                "spec.output.hotspots: expected a boolean, got None",
+                id="output.hotspots-null",
+            ),
+            pytest.param(
+                {"output": {"hotspot_threshold_fraction": "x"}},
+                "spec.output.hotspot_threshold_fraction: expected a number, got 'x'",
+                id="output.hotspot_threshold_fraction-type",
+            ),
+            pytest.param(
+                {"output": {"top_k": None}},
+                "spec.output.top_k: expected an integer, got None",
+                id="output.top_k-null",
+            ),
+            pytest.param(
+                {"output": {"paraview": True}},
+                "spec.output.paraview: unknown field (allowed fields: ['formats', "
+                "'hotspot_threshold_fraction', 'hotspots', 'points_per_block', 'top_k', "
+                "'z_planes'])",
+                id="output.unknown",
+            ),
+        ],
+    )
+    def test_error_text(self, document, message):
+        assert _error(document) == message
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("load_sweep.json", "72b93fd14aca8c83c3f1"),
+            ("quickstart.json", "55e8bd3623f0ed6d6a95"),
+            ("submodel.json", "fa1fa36c9962a4e81dca"),
+        ],
+    )
+    def test_example_spec_hashes(self, name, expected):
+        path = Path(__file__).resolve().parents[1] / "examples" / "specs" / name
+        assert SimulationSpec.from_json(path.read_text()).spec_hash() == expected
+
+    def test_default_spec_hash(self):
+        assert SimulationSpec().spec_hash() == "6a067486eeebb4ddd598"
