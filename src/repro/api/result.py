@@ -318,7 +318,7 @@ class RunResult:
         """
         directory = Path(directory)
         manifest_path = directory / _MANIFEST_NAME
-        if not manifest_path.exists():
+        if not manifest_path.is_file():
             raise SpecError(f"no {_MANIFEST_NAME} found in {directory}")
         # Envelope-version-3 manifests carry the payload under "data";
         # version-1/2 manifests were written flat and unwrap as themselves.

@@ -90,7 +90,7 @@ from repro.rom.interpolation import InterpolationScheme
 from repro.service.protocol import DEFAULT_PORT
 from repro.utils.logging import enable_console_logging
 from repro.utils.serialization import atomic_write_bytes, dump_json
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_positive_int
 
 _TABLE_COMMANDS = ("table1", "table2", "table3")
 _TABLE_CONFIGS = {
@@ -803,6 +803,15 @@ def _command_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _check_run_flags(jobs: int | None, directories: dict[str, str | None]) -> None:
+    """Reject flag values that would only fail once the run has started."""
+    if jobs is not None:
+        check_positive_int("jobs", jobs)
+    for flag, directory in directories.items():
+        if directory and Path(directory).exists() and not Path(directory).is_dir():
+            raise ValidationError(f"{flag} {directory} exists and is not a directory")
+
+
 def _command_run(args: argparse.Namespace) -> int:
     path = Path(args.spec_path)
     if not path.is_file():
@@ -810,6 +819,9 @@ def _command_run(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = SimulationSpec.from_json(path.read_text())
+        _check_run_flags(
+            args.jobs, {"--save": args.save, "--export-field": args.export_field}
+        )
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -849,8 +861,9 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_export(args: argparse.Namespace) -> int:
     results_dir = Path(args.results_dir)
     try:
+        _check_run_flags(args.jobs, {"--output": args.output})
         result = RunResult.load(results_dir)
-    except (SpecError, FileNotFoundError) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not any(case.field_data is not None for case in result.cases):

@@ -109,6 +109,25 @@ class TestRoundTrip:
         spec = factory()
         assert SimulationSpec.from_json(spec.to_json()).spec_hash() == spec.spec_hash()
 
+    def test_int_valued_floats_hash_like_their_json_round_trip(self):
+        # A spec built in Python with ``pitch=12`` equals its JSON round trip
+        # (which holds 12.0), so it must hash equal too: saved runs and
+        # ``--save`` checkpoints are keyed by the hash.
+        spec = SimulationSpec(
+            geometry=GeometrySpec(pitch=12, rows=2),
+            mesh=MeshSpec(resolution=MeshResolution(outer_ratio=1, z_refinement=2)),
+            load_cases=(LoadCase(delta_t=-100),),
+            submodel=SubModelSpec(package_scale=1),
+        )
+        restored = SimulationSpec.from_json(spec.to_json())
+        assert restored == spec
+        assert restored.spec_hash() == spec.spec_hash()
+        assert type(spec.to_dict()["geometry"]["pitch"]) is float
+        assert (
+            SimulationSpec(geometry=GeometrySpec(pitch=12, rows=2)).spec_hash()
+            == "8696bf2a98be2399b9ea"
+        )
+
     def test_document_carries_schema_version(self):
         data = array_spec().to_dict()
         assert data["schema_version"] == SCHEMA_VERSION

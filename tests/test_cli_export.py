@@ -101,6 +101,15 @@ class TestRunExportField:
         assert main(["export", str(tmp_path / "nowhere")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_export_manifest_that_is_a_directory_fails_cleanly(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").mkdir()
+        assert main(["export", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: no manifest.json found in {tmp_path}\n"
+
+    def test_export_zero_jobs_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["export", str(tmp_path), "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+
 
 @pytest.mark.parametrize("flag_set", [["--export-field"]])
 def test_spec_flag_round_trips_through_run(tmp_path, capsys, flag_set):

@@ -149,6 +149,32 @@ class TestRunErrors:
         assert main(["run", str(tmp_path)]) == 2
         assert f"spec file {tmp_path} does not exist" in capsys.readouterr().err
 
+    @staticmethod
+    def _spec_file(tmp_path: Path, capsys) -> Path:
+        spec_path = tmp_path / "run.json"
+        assert main(["spec", *FAST, "-o", str(spec_path)]) == 0
+        capsys.readouterr()
+        return spec_path
+
+    def test_zero_jobs_is_a_usage_error(self, tmp_path, capsys):
+        spec_path = self._spec_file(tmp_path, capsys)
+        assert main(["run", str(spec_path), "--jobs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: jobs must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--save", "--export-field"])
+    def test_output_directory_that_is_a_file_is_a_usage_error(self, flag, tmp_path, capsys):
+        spec_path = self._spec_file(tmp_path, capsys)
+        target = tmp_path / "taken"
+        target.write_text("keep me")
+        assert main(["run", str(spec_path), flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} {target} exists and is not a directory\n"
+        # Rejected before any work: nothing solved, nothing written.
+        assert captured.out == ""
+        assert target.read_text() == "keep me"
+
 
 class TestOutOfRangeFlags:
     """An out-of-range flag is a usage error (exit 2), never a traceback."""
