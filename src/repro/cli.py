@@ -899,6 +899,11 @@ def _command_table(
     jobs: int | None = None,
     json_path: str | None = None,
 ) -> int:
+    try:
+        _check_run_flags(jobs, {})
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config_cls = _TABLE_CONFIGS[name]
     factory = getattr(config_cls, preset, None)
     if factory is None:

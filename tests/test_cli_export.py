@@ -110,6 +110,16 @@ class TestRunExportField:
         assert main(["export", str(tmp_path), "--jobs", "0"]) == 2
         assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
 
+    def test_export_output_that_is_a_file_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep me")
+        assert main(["export", str(tmp_path), "--output", str(target)]) == 2
+        assert (
+            capsys.readouterr().err
+            == f"error: --output {target} exists and is not a directory\n"
+        )
+        assert target.read_text() == "keep me"
+
 
 @pytest.mark.parametrize("flag_set", [["--export-field"]])
 def test_spec_flag_round_trips_through_run(tmp_path, capsys, flag_set):

@@ -197,6 +197,13 @@ class TestOutOfRangeFlags:
         assert field in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("table", ["table1", "table2", "table3"])
+    def test_table_zero_jobs_rejected_with_exit_2(self, table, capsys):
+        assert main([table, "--jobs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: jobs must be >= 1, got 0\n"
+        assert captured.out == ""
+
 
 class TestTablePresets:
     @pytest.mark.parametrize("table", ["table2", "table3"])
