@@ -18,11 +18,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.metrics import normalized_mae
+from repro.api import execute_cases
 from repro.baselines.coarse_model import CoarseChipletModel
 from repro.baselines.full_fem import FullFEMReference
+from repro.geometry.array_layout import TSVArrayLayout
 from repro.geometry.package import ChipletPackage
 from repro.geometry.tsv import TSVGeometry
-from repro.rom.submodeling import SubModelingDriver
+from repro.rom.submodeling import place_submodel
 from repro.rom.workflow import MoreStressSimulator
 
 DELTA_T = -250.0
@@ -42,21 +44,22 @@ class TestDummyRingAblation:
                 simulator = MoreStressSimulator(
                     tsv, materials, mesh_resolution="tiny", nodes_per_axis=(4, 4, 4)
                 )
-                driver = SubModelingDriver(
-                    simulator=simulator,
-                    package=package,
-                    coarse_solution=coarse,
-                    dummy_ring_width=ring_width,
+                _, layout = place_submodel(
+                    tsv, package, rows=2, cols=2, ring_width=ring_width, location="loc3"
                 )
-                location = driver.location("loc3", rows=2, cols=2)
-                layout = driver.padded_layout(2, 2, location)
                 reference_solution = reference.solve_array(
                     layout,
                     DELTA_T,
                     boundary="submodel",
                     displacement_field=coarse.displacement_field(),
                 )
-                result = driver.simulate(rows=2, cols=2, location=location)
+                (result,) = execute_cases(
+                    simulator,
+                    layout,
+                    [DELTA_T],
+                    boundary="submodel",
+                    displacement_fields=coarse.displacement_field(),
+                )
                 errors[ring_width] = normalized_mae(
                     result.von_mises_midplane(points_per_block=10),
                     reference_solution.von_mises_midplane(points_per_block=10),
@@ -106,7 +109,9 @@ class TestMeshResolutionAblation:
                 tsv, materials, mesh_resolution=preset, nodes_per_axis=(4, 4, 4)
             )
             simulator.build_roms()
-            result = simulator.simulate_array(rows=3, delta_t=DELTA_T)
+            (result,) = execute_cases(
+                simulator, TSVArrayLayout.full(tsv, rows=3), [DELTA_T]
+            )
             timings[preset] = result.global_stage_seconds
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         for preset, seconds in timings.items():

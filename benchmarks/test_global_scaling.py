@@ -5,9 +5,10 @@ array; this module tracks the two optimisations that keep that stage scalable:
 
 * ``test_numbering_and_assembly_speedup`` times the global DoF numbering plus
   the COO scatter of a ≥50x50 layout with the vectorized path against the
-  original per-block Python loop (kept as ``assemble_reference``).  The two
-  produce identical matrices; the sparse-matrix conversion they share is
-  excluded so the comparison isolates exactly the code that changed.
+  original per-node and per-block Python loops (the oracles of
+  ``tests/fem_oracle.py``).  The two produce identical matrices; the
+  sparse-matrix conversion they share is excluded so the comparison isolates
+  exactly the code that changed.
 * ``test_rom_cache_warm_vs_cold`` shows that a warm :class:`ROMCache` turns
   the one-shot local stage into a single file load.
 
@@ -25,10 +26,10 @@ import pytest
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.tsv import TSVGeometry
 from repro.geometry.unit_block import UnitBlockGeometry
-from repro.rom.global_dofs import GlobalDofManager
 from repro.rom.global_stage import GlobalStage
 from repro.rom.interpolation import InterpolationScheme
 from repro.rom.local_stage import LocalStage
+from tests.fem_oracle import oracle_global_numbering, oracle_global_scatter
 
 _ARRAY_SIZE = {"small": 50, "medium": 80, "paper": 100}
 _DELTA_T = -250.0
@@ -60,13 +61,13 @@ class TestGlobalScaling:
         stage = GlobalStage({BlockKind.TSV: scaling_rom}, materials)
 
         def vectorized():
-            manager = GlobalDofManager(scaling_layout, _SCHEME)
-            return stage.scatter_contributions(manager, scaling_layout, _DELTA_T)
+            operator, rhs, _ = stage.assemble(scaling_layout, _DELTA_T)
+            return (*operator.triplets(), rhs)
 
         def loop():
-            manager = GlobalDofManager(scaling_layout, _SCHEME, numbering="loop")
-            return stage.scatter_contributions_reference(
-                manager, scaling_layout, _DELTA_T
+            _, block_node_ids = oracle_global_numbering(scaling_layout, _SCHEME)
+            return oracle_global_scatter(
+                stage.roms, scaling_layout, block_node_ids, _DELTA_T
             )
 
         benchmark.pedantic(vectorized, rounds=3, iterations=1, warmup_rounds=1)

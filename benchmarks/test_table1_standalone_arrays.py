@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.reporting import format_bytes, format_seconds
+from repro.api import execute_cases
 from repro.baselines.full_fem import FullFEMReference
 from repro.baselines.linear_superposition import LinearSuperpositionMethod
 from repro.experiments.scenario1 import run_scenario1, scenario1_table
@@ -155,7 +156,11 @@ class TestTable1MethodTimings:
         size = scenario1_config.array_sizes[array_size_index]
 
         result = benchmark(
-            lambda: simulator.simulate_array(rows=size, delta_t=scenario1_config.delta_t)
+            lambda: execute_cases(
+                simulator,
+                TSVArrayLayout.full(tsv, rows=size),
+                [scenario1_config.delta_t],
+            )[0]
         )
         benchmark.extra_info["array"] = f"{size}x{size}"
         benchmark.extra_info["reduced_dofs"] = result.num_global_dofs

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import execute_cases
 from repro.baselines.coarse_model import CoarseChipletModel
 from repro.experiments.scenario2 import run_scenario2, scenario2_table
 from repro.geometry.package import ChipletPackage
 from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import MaterialLibrary
-from repro.rom.submodeling import SubModelingDriver
+from repro.rom.submodeling import place_submodel
 from repro.rom.workflow import MoreStressSimulator
 
 
@@ -86,19 +87,24 @@ class TestTable2MethodTimings:
             mesh_resolution=scenario2_config.mesh_resolution,
             nodes_per_axis=scenario2_config.nodes_per_axis,
         )
-        driver = SubModelingDriver(
-            simulator=simulator,
-            package=package,
-            coarse_solution=coarse,
-            dummy_ring_width=scenario2_config.dummy_ring_width,
-        )
         simulator.build_roms(include_dummy=True)
 
-        result = benchmark(
-            lambda: driver.simulate(
+        def solve():
+            _, layout = place_submodel(
+                tsv,
+                package,
                 rows=scenario2_config.array_rows,
                 cols=scenario2_config.array_cols,
+                ring_width=scenario2_config.dummy_ring_width,
                 location="loc3",
             )
-        )
+            return execute_cases(
+                simulator,
+                layout,
+                [coarse.delta_t],
+                boundary="submodel",
+                displacement_fields=coarse.displacement_field(),
+            )[0]
+
+        result = benchmark(solve)
         benchmark.extra_info["reduced_dofs"] = result.num_global_dofs

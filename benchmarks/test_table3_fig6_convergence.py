@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import execute_cases
 from repro.experiments.convergence import (
     convergence_table,
     is_monotonically_converging,
     run_convergence_study,
 )
+from repro.geometry.array_layout import TSVArrayLayout
 from repro.geometry.tsv import TSVGeometry
 from repro.rom.workflow import MoreStressSimulator
 
@@ -70,9 +72,11 @@ class TestTable3AndFig6:
         )
         simulator.build_roms()
         result = benchmark(
-            lambda: simulator.simulate_array(
-                rows=convergence_config.array_size, delta_t=convergence_config.delta_t
-            )
+            lambda: execute_cases(
+                simulator,
+                TSVArrayLayout.full(tsv, rows=convergence_config.array_size),
+                [convergence_config.delta_t],
+            )[0]
         )
         benchmark.extra_info["n"] = simulator.scheme.num_element_dofs
         benchmark.extra_info["reduced_dofs"] = result.num_global_dofs

@@ -15,15 +15,17 @@ the whole pipeline without touching the solver:
 * copper pillar     : copper core (no liner) in an underfill/mold matrix,
 * solder micro bump : solder core in an underfill matrix.
 
-The example builds a ROM for each variant and compares their stress levels
-under the same fabrication cool-down.
+The example runs one :class:`~repro.api.SimulationSpec` per variant, passing
+the re-bound library to :func:`repro.api.run` as its ``materials`` override,
+and compares their stress levels under the same fabrication cool-down.
 
 Run with:  python examples/other_fine_structures.py
 """
 
 from __future__ import annotations
 
-from repro import MaterialLibrary, MoreStressSimulator, TSVGeometry
+from repro import MaterialLibrary, TSVGeometry
+from repro.api import GeometrySpec, LoadCase, MeshSpec, SimulationSpec, run
 from repro.materials.library import (
     ROLE_COPPER,
     ROLE_LINER,
@@ -72,15 +74,24 @@ def main() -> None:
     print("MORE-Stress applied to three periodic fine structures (6x6 arrays, dT = -250 degC)\n")
     for configure in (tsv_configuration, copper_pillar_configuration, micro_bump_configuration):
         geometry, library, label = configure()
-        simulator = MoreStressSimulator(
-            geometry, library, mesh_resolution="coarse", nodes_per_axis=(4, 4, 4)
+        spec = SimulationSpec(
+            name=configure.__name__,
+            geometry=GeometrySpec(
+                diameter=geometry.diameter,
+                height=geometry.height,
+                liner_thickness=geometry.liner_thickness,
+                pitch=geometry.pitch,
+                rows=6,
+            ),
+            mesh=MeshSpec(resolution="coarse", nodes_per_axis=(4, 4, 4), points_per_block=20),
+            load_cases=(LoadCase(delta_t=-250.0),),
         )
-        result = simulator.simulate_array(rows=6, delta_t=-250.0)
-        vm = result.von_mises_midplane(points_per_block=20)
+        case = run(spec, materials=library).cases[0]
         print(
-            f"{label:35s} local {result.local_stage_seconds:6.2f} s | "
-            f"global {result.global_stage_seconds:6.3f} s | "
-            f"peak von Mises {vm.max():7.1f} MPa | mean {vm.mean():6.1f} MPa"
+            f"{label:35s} local {case.local_stage_seconds:6.2f} s | "
+            f"global {case.global_stage_seconds:6.3f} s | "
+            f"peak von Mises {case.peak_von_mises:7.1f} MPa | "
+            f"mean {case.von_mises.mean():6.1f} MPa"
         )
     print(
         "\nThe copper/solder structures in compliant underfill develop markedly lower"

@@ -7,11 +7,15 @@ example shows the three reuse mechanisms layered on top of that fact:
 
 1. explicit ``save_roms``/``load_roms`` bundles (hand the ROM to a separate
    sign-off flow),
-2. the content-addressed :class:`ROMCache` — any simulator pointed at the
-   same cache directory skips the local stage automatically, across
-   processes, with the material fingerprint guarding against stale reuse,
-3. ``simulate_load_sweep`` — one assembly + factorisation back-substituted
-   against many thermal loads (the global system is linear in ``delta_t``).
+2. the content-addressed :class:`ROMCache` — any run pointed at the same
+   cache directory skips the local stage automatically, across processes,
+   with the material fingerprint guarding against stale reuse,
+3. a multi-case :class:`~repro.api.SimulationSpec` — :func:`repro.api.run`
+   assembles and factorises the array once and back-substitutes every
+   thermal load (the global system is linear in ``delta_t``).
+
+A simulator that holds ROMs loaded from disk solves a layout with
+:func:`repro.api.execute_cases`.
 
 Run with:  python examples/rom_reuse_and_persistence.py
 """
@@ -22,7 +26,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import MaterialLibrary, MoreStressSimulator, ROMCache, TSVGeometry
+from repro import MaterialLibrary, MoreStressSimulator, ROMCache, TSVArrayLayout, TSVGeometry
+from repro.api import GeometrySpec, LoadCase, MeshSpec, SimulationSpec, execute_cases, run
 from repro.utils.logging import enable_console_logging
 
 
@@ -53,7 +58,8 @@ def main() -> None:
         consumer.load_roms(rom_dir)
 
         for rows, delta_t in [(3, -250.0), (5, -250.0), (5, -125.0), (8, -250.0)]:
-            result = consumer.simulate_array(rows=rows, delta_t=delta_t)
+            layout = TSVArrayLayout.full(tsv, rows=rows)
+            result, = execute_cases(consumer, layout, [delta_t])
             vm_max = result.von_mises_midplane(points_per_block=20).max()
             print(
                 f"  {rows}x{rows} array, delta_t={delta_t:6.1f} degC: "
@@ -61,28 +67,33 @@ def main() -> None:
                 f"max von Mises {vm_max:7.1f} MPa"
             )
 
-        # --- the ROM cache makes the reuse automatic -----------------------
-        # Same technology, new process/simulator: the cache key (geometry,
-        # resolution, interpolation scheme, material fingerprint) hits the
-        # bundle stored by `builder`, so no local stage runs here at all.
-        start = time.perf_counter()
-        cached = MoreStressSimulator(
-            tsv, materials, mesh_resolution="coarse", rom_cache=cache
+        # --- the ROM cache + a batched thermal sweep ------------------------
+        # Same technology, new run: the cache key (geometry, resolution,
+        # interpolation scheme, material fingerprint) hits the bundle stored
+        # by `builder`, so no local stage runs here at all.  Stress scales
+        # linearly with the thermal load (Eq. 1), and the four cases share
+        # one layout, so the global system is factorised once for all loads.
+        spec = SimulationSpec(
+            name="thermal-sweep",
+            geometry=GeometrySpec(pitch=10.0, rows=5),
+            mesh=MeshSpec(resolution="coarse", nodes_per_axis=(4, 4, 4), points_per_block=20),
+            load_cases=tuple(
+                LoadCase(delta_t=delta_t) for delta_t in (-250.0, -200.0, -150.0, -100.0)
+            ),
         )
-        cached.build_roms(include_dummy=True)
+        hits = cache.hits
+        sweep = run(spec, rom_cache=cache)
+        first = sweep.cases[0]
         print(
-            f"warm ROM cache: local stage replaced by a {time.perf_counter() - start:.3f} s "
-            f"load ({cache.hits} hits, {cache.misses} misses)"
+            f"warm ROM cache: local stage replaced by a {first.local_stage_seconds:.3f} s "
+            f"load ({cache.hits - hits} hit)"
         )
-
-        # --- batched thermal sweep: one factorisation, many loads ----------
-        # Stress scales linearly with the thermal load (Eq. 1), and the
-        # factorized global system is reused for every delta_t.
-        sweep = cached.simulate_load_sweep(rows=5, delta_ts=[-250.0, -200.0, -150.0, -100.0])
-        print(f"thermal sweep (shared factorisation, {sweep[0].global_stage_seconds:.3f} s total):")
-        for result in sweep:
-            vm_max = result.von_mises_midplane(points_per_block=20).max()
-            print(f"  delta_t={result.delta_t:6.1f} degC -> max von Mises {vm_max:7.1f} MPa")
+        print(
+            f"thermal sweep ({first.solver_method}, shared factorisation, "
+            f"{first.global_stage_seconds:.3f} s total):"
+        )
+        for case in sweep.cases:
+            print(f"  delta_t={case.delta_t:6.1f} degC -> max von Mises {case.peak_von_mises:7.1f} MPa")
 
 
 if __name__ == "__main__":

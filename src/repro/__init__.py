@@ -39,12 +39,15 @@ The public API is organised in subpackages:
 Quickstart
 ----------
 
->>> from repro import TSVGeometry, MaterialLibrary, MoreStressSimulator
->>> geom = TSVGeometry(diameter=5.0, height=50.0, liner_thickness=0.5, pitch=15.0)
->>> sim = MoreStressSimulator(geom, MaterialLibrary.default(),
-...                           mesh_resolution="coarse", nodes_per_axis=(3, 3, 3))
->>> result = sim.simulate_array(rows=4, cols=4, delta_t=-250.0)
->>> result.von_mises_midplane().shape
+>>> from repro import GeometrySpec, LoadCase, MeshSpec, SimulationSpec, run
+>>> spec = SimulationSpec(
+...     geometry=GeometrySpec(diameter=5.0, height=50.0, liner_thickness=0.5,
+...                           pitch=15.0, rows=4, cols=4),
+...     mesh=MeshSpec(resolution="coarse", nodes_per_axis=(3, 3, 3)),
+...     load_cases=(LoadCase(delta_t=-250.0),),
+... )
+>>> result = run(spec)
+>>> result.cases[0].von_mises.shape
 (4, 4, 30, 30)
 """
 
@@ -64,7 +67,6 @@ from repro.rom import (
     ROMCache,
     GlobalStage,
     MoreStressSimulator,
-    SubModelingDriver,
 )
 from repro.baselines import (
     FullFEMReference,
@@ -101,7 +103,6 @@ __all__ = [
     "ROMCache",
     "GlobalStage",
     "MoreStressSimulator",
-    "SubModelingDriver",
     "FullFEMReference",
     "LinearSuperpositionMethod",
     "CoarseChipletModel",

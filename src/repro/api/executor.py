@@ -1,9 +1,11 @@
 """Spec executor: plan and run a :class:`SimulationSpec` at the lowest cost.
 
 :func:`run` is the single entry point every workload routes through — the
-CLI's ``simulate``/``run`` commands, the experiment drivers and the legacy
-:class:`~repro.rom.workflow.MoreStressSimulator` convenience methods (which
-are thin adapters over :func:`execute_cases`).  The executor
+CLI's ``simulate``/``run`` commands, the job service and the experiment
+drivers.  Callers that already hold a configured
+:class:`~repro.rom.workflow.MoreStressSimulator` (for instance one whose ROMs
+were loaded from disk) solve a layout with :func:`execute_cases`, the engine
+:func:`run` calls for each case group.  The executor
 
 1. builds the material library, TSV geometry and simulator from the spec
    (reduced order models are built **once** per run — they depend only on the
@@ -11,8 +13,7 @@ are thin adapters over :func:`execute_cases`).  The executor
 2. groups load cases by ``(rows, cols, location)``: cases in a group share
    the same global system, so a multi-case group is solved with **one**
    assembly + factorisation via :meth:`GlobalStage.solve_many` while a
-   single-case group takes the plain :meth:`GlobalStage.solve` path
-   (bit-identical to a direct ``simulate_array`` call),
+   single-case group takes the plain :meth:`GlobalStage.solve` path,
 3. for sub-model specs, solves the coarse package model once per distinct
    thermal load and applies its displacements to the padded layouts, and
 4. returns a :class:`RunResult` with per-case stress fields, diagnostics and
@@ -43,6 +44,7 @@ from repro.utils.serialization import (
     save_npz_bundle,
 )
 from repro.utils.timing import StageTimings, Timer
+from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.baselines.coarse_model import CoarsePackageSolution
@@ -57,17 +59,20 @@ def execute_cases(
     delta_ts: Sequence[float | ThermalLoad],
     boundary: str = "clamped",
     displacement_fields=None,
-    batched: bool | None = None,
 ) -> "list[SimulationResult]":
-    """Solve one layout for one or many thermal loads (the shared engine).
+    """Solve one layout for one or many thermal loads; one result per load.
 
-    This is the single execution path behind :func:`run`,
-    :meth:`MoreStressSimulator.simulate_array` and
-    :meth:`MoreStressSimulator.simulate_load_sweep`: build (or fetch cached)
-    ROMs, assemble the global stage and solve.  ``batched=False`` forces the
-    plain per-case solve, ``batched=True`` the factorize-once
-    :meth:`GlobalStage.solve_many` path; the default batches whenever more
-    than one load is given.
+    This is the engine behind :func:`run`: build (or fetch cached) ROMs,
+    assemble the global stage and solve.  One load takes the plain
+    :meth:`GlobalStage.solve` path; several share one assembly and
+    factorisation through :meth:`GlobalStage.solve_many`, which
+    back-substitutes every load (and, for ``boundary="submodel"``, every
+    entry of a ``displacement_fields`` list).  The shared global-stage time
+    is attributed to each result.
+
+    >>> sim = MoreStressSimulator(TSVGeometry.paper_default(pitch=15.0))  # doctest: +SKIP
+    >>> layout = TSVArrayLayout.full(sim.tsv, rows=4)  # doctest: +SKIP
+    >>> result, = execute_cases(sim, layout, [-250.0])  # doctest: +SKIP
     """
     from repro.rom.workflow import SimulationResult
 
@@ -75,8 +80,8 @@ def execute_cases(
         load.delta_t if isinstance(load, ThermalLoad) else float(load)
         for load in delta_ts
     ]
-    if batched is None:
-        batched = len(loads) > 1
+    if not loads:
+        raise ValidationError("delta_ts is empty: give at least one thermal load")
     include_dummy = layout.num_dummy_blocks > 0
     roms = simulator.build_roms(include_dummy=include_dummy)
 
@@ -87,7 +92,7 @@ def execute_cases(
     )
     timer = Timer()
     with timer:
-        if batched:
+        if len(loads) > 1:
             solutions = stage.solve_many(
                 layout,
                 loads,
@@ -97,9 +102,12 @@ def execute_cases(
         else:
             displacement_field = displacement_fields
             if isinstance(displacement_field, (list, tuple)):
-                displacement_field = (
-                    displacement_field[0] if displacement_field else None
-                )
+                if len(displacement_field) != 1:
+                    raise ValidationError(
+                        f"got {len(displacement_field)} displacement fields "
+                        "for 1 thermal load"
+                    )
+                (displacement_field,) = displacement_field
             solutions = [
                 stage.solve(
                     layout,
@@ -418,7 +426,6 @@ def run(
                 delta_ts,
                 boundary=boundary,
                 displacement_fields=displacement_fields,
-                batched=len(members) > 1,
             )
             if checkpoint_dir is not None:
                 _save_group_checkpoint(

@@ -41,6 +41,7 @@ from typing import Any, Callable, Mapping, NamedTuple, get_args, get_origin, get
 from repro.errors import SpecError
 from repro.fem.backends import BACKEND_ALIASES, backend_names
 from repro.fem.solver import SolverOptions
+from repro.geometry.package import ChipletPackage
 from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import (
     ROLE_COPPER,
@@ -484,7 +485,9 @@ class SimulationSpec:
                     )
                 seen.add(case.name)
         if self.submodel is not None:
-            interposer_thickness = 50.0  # ChipletPackage default (z-independent of scale)
+            # The package run() builds; its scale is in-plane only.
+            package = ChipletPackage.scaled_default(self.submodel.package_scale)
+            interposer_thickness = package.interposer_thickness
             if abs(self.geometry.height - interposer_thickness) > 1e-9:
                 raise ValidationError(
                     "geometry.height must equal the interposer thickness "
@@ -581,7 +584,10 @@ _CONSTANT_KEYS: dict[type, dict[str, _Constant]] = {
     SimulationSpec: {
         "schema_version": _Constant(
             SCHEMA_VERSION,
-            lambda value: value in SUPPORTED_SCHEMA_VERSIONS,
+            # true == 1 and 3.0 == 3, so check the type before the value.
+            lambda value: isinstance(value, int)
+            and not isinstance(value, bool)
+            and value in SUPPORTED_SCHEMA_VERSIONS,
             "unsupported version {got!r} "
             f"(this build reads versions {list(SUPPORTED_SCHEMA_VERSIONS)})",
         ),

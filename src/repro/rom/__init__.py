@@ -8,7 +8,6 @@ from repro.rom.global_dofs import GlobalDofManager
 from repro.rom.global_stage import GlobalStage, GlobalSolution
 from repro.rom.reconstruction import BlockFieldSampler, block_midplane_points
 from repro.rom.workflow import MoreStressSimulator, SimulationResult
-from repro.rom.submodeling import SubModelingDriver
 
 __all__ = [
     "InterpolationScheme",
@@ -24,5 +23,4 @@ __all__ = [
     "block_midplane_points",
     "MoreStressSimulator",
     "SimulationResult",
-    "SubModelingDriver",
 ]

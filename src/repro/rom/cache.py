@@ -8,19 +8,22 @@ rebuild it at all.  The :class:`ROMCache` makes that reuse automatic and
 cross-process: every configuration is content-hashed into a key, and ROMs are
 persisted as the standard ``save``/``load`` ``.npz`` bundles under that key.
 
-Wired into :class:`~repro.rom.local_stage.LocalStage` (``cache=`` parameter)
-and :class:`~repro.rom.workflow.MoreStressSimulator` (``rom_cache=``), a warm
-cache turns the local stage into a single file load, which is where the
-speedup of parameter sweeps over arrays, thermal loads and package locations
-compounds (cf. Jia & Cheng on reusable reduced thermal models).
+Wired into :class:`~repro.rom.local_stage.LocalStage` (``cache=`` parameter),
+:class:`~repro.rom.workflow.MoreStressSimulator` and :func:`repro.api.run`
+(``rom_cache=``), a warm cache turns the local stage into a single file load,
+which is where the speedup of parameter sweeps over arrays, thermal loads and
+package locations compounds (cf. Jia & Cheng on reusable reduced thermal
+models).
 
 Example
 -------
->>> cache = ROMCache("~/.cache/repro/roms")        # doctest: +SKIP
->>> sim = MoreStressSimulator(tsv, rom_cache=cache)  # doctest: +SKIP
->>> sim.simulate_array(rows=50)  # first run builds + stores the ROM
->>> sim2 = MoreStressSimulator(tsv, rom_cache=cache)  # doctest: +SKIP
->>> sim2.simulate_array(rows=80)  # local stage skipped entirely
+The first run builds and stores the ROM; the second, a different array size
+of the same technology, skips the local stage entirely:
+
+>>> from repro.api import GeometrySpec, SimulationSpec, run
+>>> cache = ROMCache("~/.cache/repro/roms")  # doctest: +SKIP
+>>> run(SimulationSpec(geometry=GeometrySpec(rows=50)), rom_cache=cache)  # doctest: +SKIP
+>>> run(SimulationSpec(geometry=GeometrySpec(rows=80)), rom_cache=cache)  # doctest: +SKIP
 """
 
 from __future__ import annotations

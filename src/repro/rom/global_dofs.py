@@ -15,10 +15,8 @@ Numbering is vectorized: the ``(i, j, k)`` grid key of every surface node of
 every block is packed into a single int64 and deduplicated with
 :func:`numpy.unique`, which makes the numbering of a 100x100 array a handful
 of array operations instead of millions of Python dict lookups.  Global ids
-follow first-appearance order over blocks in row-major order (the same
-numbering the original per-node loop produced), so matrices assembled from
-either path are identical.  The original loop is kept as
-``numbering="loop"`` for equivalence tests and benchmarks.
+follow first-appearance order over blocks in row-major order (the numbering
+a per-node dict loop produces; the tests keep that loop as an oracle).
 """
 
 from __future__ import annotations
@@ -48,45 +46,27 @@ class GlobalDofManager:
         The TSV array layout (defines block positions and the global origin).
     scheme:
         The interpolation scheme shared by all blocks of the layout.
-    numbering:
-        ``"vectorized"`` (default) or ``"loop"`` — the reference per-node
-        Python loop, kept only so tests and benchmarks can compare the two.
-        Both produce the same numbers.
     """
 
     layout: TSVArrayLayout
     scheme: InterpolationScheme
-    numbering: str = "vectorized"
     _node_keys: np.ndarray = field(init=False, repr=False)
     _block_node_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.numbering == "vectorized":
-            self._node_keys, self._block_node_ids = self._number_vectorized()
-        elif self.numbering == "loop":
-            self._node_keys, self._block_node_ids = self._number_loop()
-        else:
-            raise ValidationError(
-                f"numbering must be 'vectorized' or 'loop', got {self.numbering!r}"
-            )
-
-    # ------------------------------------------------------------------ #
-    # numbering
-    # ------------------------------------------------------------------ #
-    def _number_vectorized(self) -> tuple[np.ndarray, np.ndarray]:
         """Assign global ids by packing grid keys into int64 and deduplicating.
 
-        Returns ``(node_keys, block_node_ids)`` where ``node_keys`` has shape
-        ``(N, 3)`` (the ``(i, j, k)`` key of every global node, in id order)
-        and ``block_node_ids`` has shape ``(rows, cols, ns)`` (the global node
-        ids of every block's surface nodes in canonical local order).
+        Sets ``_node_keys``, shape ``(N, 3)`` (the ``(i, j, k)`` key of every
+        global node, in id order), and ``_block_node_ids``, shape
+        ``(rows, cols, ns)`` (the global node ids of every block's surface
+        nodes in canonical local order).
         """
         nx, ny, nz = self.scheme.nodes_per_axis
         rows, cols = self.layout.rows, self.layout.cols
         surface = self.scheme.surface_node_indices()  # (ns, 3)
 
         # Grid keys of every surface node of every block, blocks in row-major
-        # order (the order the reference loop visits them in).
+        # order.
         block_rows = np.repeat(np.arange(rows, dtype=np.int64), cols)
         block_cols = np.tile(np.arange(cols, dtype=np.int64), rows)
         keys_i = surface[None, :, 0] + block_cols[:, None] * (nx - 1)  # (nb, ns)
@@ -102,8 +82,8 @@ class GlobalDofManager:
         unique_keys, first_pos, inverse = np.unique(
             flat, return_index=True, return_inverse=True
         )
-        # Renumber the (sorted) unique keys by first appearance so ids match
-        # the insertion order of the reference dict-based loop exactly.
+        # Renumber the (sorted) unique keys by first appearance, the insertion
+        # order of a dict-based loop over the blocks.
         order = np.argsort(first_pos, kind="stable")
         rank = np.empty(order.size, dtype=np.int64)
         rank[order] = np.arange(order.size, dtype=np.int64)
@@ -115,29 +95,8 @@ class GlobalDofManager:
         remainder = ordered // stride_k
         node_keys[:, 1] = remainder % stride_j
         node_keys[:, 0] = remainder // stride_j
-        return node_keys, block_node_ids
-
-    def _number_loop(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reference per-node dict numbering (the original implementation)."""
-        nx, ny, nz = self.scheme.nodes_per_axis
-        surface_indices = self.scheme.surface_node_indices()
-        node_index: dict[tuple[int, int, int], int] = {}
-        block_node_ids = np.empty(
-            (self.layout.rows, self.layout.cols, surface_indices.shape[0]),
-            dtype=np.int64,
-        )
-        for row in range(self.layout.rows):
-            for col in range(self.layout.cols):
-                keys_i = surface_indices[:, 0] + col * (nx - 1)
-                keys_j = surface_indices[:, 1] + row * (ny - 1)
-                keys_k = surface_indices[:, 2]
-                for local, key in enumerate(zip(keys_i, keys_j, keys_k)):
-                    key = (int(key[0]), int(key[1]), int(key[2]))
-                    if key not in node_index:
-                        node_index[key] = len(node_index)
-                    block_node_ids[row, col, local] = node_index[key]
-        node_keys = np.asarray(list(node_index.keys()), dtype=np.int64)
-        return node_keys, block_node_ids
+        self._node_keys = node_keys
+        self._block_node_ids = block_node_ids
 
     # ------------------------------------------------------------------ #
     # sizes

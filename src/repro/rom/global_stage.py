@@ -21,8 +21,8 @@ and CG solves need O(DoFs) memory; they iterate over the free DoFs only
 (:meth:`GlobalOperator.apply_dirichlet`) and write the prescribed values into
 the constrained DoFs exactly.  Direct solvers get the assembled CSR
 matrix from :meth:`GlobalOperator.tocsr`; it is built from COO triplets in
-the exact order of the original per-block loop, which is retained as
-:meth:`GlobalStage.assemble_reference` for equivalence tests and benchmarks.
+the exact order of a per-block assembly loop (the tests keep that loop as an
+oracle).
 
 Because the reduced problem is linear in the thermal load and the lifted
 matrix depends only on *which* DoFs are constrained (not on their values),
@@ -274,18 +274,12 @@ class GlobalStage:
         """The global stiffness operator and load vector of a layout.
 
         The stiffness is returned matrix-free as a :class:`GlobalOperator`;
-        its :meth:`~GlobalOperator.tocsr` is identical to the matrix of
-        :meth:`assemble_reference`.  The load vector is accumulated with one
-        batched scatter over the stacked block DoF maps.
+        its :meth:`~GlobalOperator.tocsr` is the assembled matrix.  The load
+        vector is accumulated with one batched scatter over the stacked block
+        DoF maps.
         """
         _check_rom_consistency(self.roms, layout, self.materials)
         manager = GlobalDofManager(layout, next(iter(self.roms.values())).scheme)
-        operator, rhs = self._operator_and_rhs(manager, layout, delta_t)
-        return operator, rhs, manager
-
-    def _operator_and_rhs(
-        self, manager: GlobalDofManager, layout: TSVArrayLayout, delta_t: float
-    ) -> tuple[GlobalOperator, np.ndarray]:
         # One dense stiffness/load row per block *kind*, indexed per block.
         kind_order = list(self.roms)
         kind_codes = {kind: code for code, kind in enumerate(kind_order)}
@@ -298,8 +292,8 @@ class GlobalStage:
             [self.roms[kind].element_rhs(delta_t) for kind in kind_order]
         )
         dofs = manager.all_block_dof_ids()  # (num_blocks, n)
-        # bincount accumulates in input-scan order, matching the sequential
-        # per-block np.add.at of the reference loop bit for bit.
+        # bincount accumulates in input-scan order, matching a sequential
+        # per-block np.add.at (the tests' oracle) bit for bit.
         rhs = np.bincount(
             dofs.ravel(),
             weights=rhs_stack[codes].ravel(),
@@ -308,74 +302,7 @@ class GlobalStage:
         operator = GlobalOperator(
             [self.roms[kind].element_stiffness for kind in kind_order], codes, dofs
         )
-        return operator, rhs
-
-    def scatter_contributions(
-        self, manager: GlobalDofManager, layout: TSVArrayLayout, delta_t: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Batched COO triplets and load vector of the whole layout.
-
-        Returns ``(rows, cols, data, rhs)`` with the triplets in row-major
-        block order (block 0's ``n x n`` entries first, then block 1's, ...),
-        i.e. the exact order the reference per-block loop emits them in.
-        """
-        operator, rhs = self._operator_and_rhs(manager, layout, delta_t)
-        return (*operator.triplets(), rhs)
-
-    def assemble_reference(
-        self, layout: TSVArrayLayout, delta_t: float
-    ) -> tuple[sp.csr_matrix, np.ndarray, GlobalDofManager]:
-        """Per-block loop assembly (the original implementation).
-
-        Kept as the reference the vectorized :meth:`assemble` is validated
-        against (equivalence tests) and benchmarked against (the scaling
-        benchmark).  Produces matrices identical to :meth:`assemble`.
-        """
-        _check_rom_consistency(self.roms, layout, self.materials)
-        manager = GlobalDofManager(
-            layout, next(iter(self.roms.values())).scheme, numbering="loop"
-        )
-        rows, cols, data, rhs = self.scatter_contributions_reference(
-            manager, layout, delta_t
-        )
-        num_dofs = manager.num_global_dofs
-        matrix = sp.coo_matrix(
-            (data, (rows, cols)), shape=(num_dofs, num_dofs)
-        ).tocsr()
-        matrix.sum_duplicates()
-        return matrix, rhs, manager
-
-    def scatter_contributions_reference(
-        self, manager: GlobalDofManager, layout: TSVArrayLayout, delta_t: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-block loop version of :meth:`scatter_contributions`."""
-        n = manager.dofs_per_block
-        num_dofs = manager.num_global_dofs
-
-        rows_list: list[np.ndarray] = []
-        cols_list: list[np.ndarray] = []
-        data_list: list[np.ndarray] = []
-        rhs = np.zeros(num_dofs, dtype=float)
-
-        element_rhs = {
-            kind: rom.element_rhs(delta_t) for kind, rom in self.roms.items()
-        }
-        element_stiffness = {
-            kind: rom.element_stiffness for kind, rom in self.roms.items()
-        }
-
-        for row, col, kind in layout.iter_blocks():
-            dofs = manager.block_dof_ids(row, col)
-            rows_list.append(np.repeat(dofs, n))
-            cols_list.append(np.tile(dofs, n))
-            data_list.append(element_stiffness[kind].ravel())
-            np.add.at(rhs, dofs, element_rhs[kind])
-        return (
-            np.concatenate(rows_list),
-            np.concatenate(cols_list),
-            np.concatenate(data_list),
-            rhs,
-        )
+        return operator, rhs, manager
 
     # ------------------------------------------------------------------ #
     # boundary conditions

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
-from repro.fem.backends import canonical_backend_name, resolve_backend
+from repro.fem.backends import get_backend
 from repro.fem.boundary import DirichletBC, split_system
 from repro.fem.elasticity import material_arrays_for_mesh
 from repro.geometry.unit_block import UnitBlockGeometry
@@ -70,10 +70,6 @@ class LocalStage:
         :meth:`build_pair`).  ``None`` (the default) uses one worker per
         CPU; ``1`` runs serially.  The parallel schedule never changes
         results, only wall-clock time.
-    solver_backend:
-        Name of the :mod:`repro.fem.backends` backend whose factorisation the
-        local solves reuse (``None`` = ``"direct-splu"``; ``"cholmod"``
-        is picked up automatically when requested and installed).
     """
 
     materials: MaterialLibrary
@@ -81,7 +77,6 @@ class LocalStage:
     scheme: InterpolationScheme = InterpolationScheme((4, 4, 4))
     cache: "ROMCache | str | Path | None" = None
     jobs: int | None = None
-    solver_backend: str | None = None
 
     def __post_init__(self) -> None:
         self.resolution = MeshResolution.from_spec(self.resolution)
@@ -89,10 +84,6 @@ class LocalStage:
             self.scheme = InterpolationScheme(self.scheme)
         self.cache = ROMCache.from_spec(self.cache)
         resolve_jobs(self.jobs)  # validate eagerly
-        if self.solver_backend is not None:
-            # Normalize (and reject typos) now, not after minutes of meshing
-            # — and not never, as would happen on a warm cache hit.
-            self.solver_backend = canonical_backend_name(self.solver_backend)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -224,8 +215,7 @@ class LocalStage:
         # whole-node triples and the node order expands to DoFs directly.
         node_order = mesh.nested_dissection(free_dofs[::3] // 3)
         dof_order = (3 * node_order[:, None] + np.arange(3)).ravel()
-        backend, _ = resolve_backend(self.solver_backend or "direct-splu")
-        operator = backend.factorize(
+        operator = get_backend("direct-splu").factorize(
             split.a_ff, ordering=np.searchsorted(free_dofs, dof_order)
         )
 

@@ -1,15 +1,18 @@
-"""Sub-modeling driver: TSV arrays embedded anywhere in a package (paper §4.4).
+"""Sub-model placement: TSV arrays embedded anywhere in a package (paper §4.4).
 
-The driver wires three pieces together:
+A sub-model run combines three pieces:
 
 1. a solved coarse package model supplying the cut-boundary displacements,
 2. a padded array layout (the TSV array plus rings of dummy blocks keeping
-   the cut boundary away from the region of interest), and
-3. the MORE-Stress simulator, which applies the coarse displacements to the
-   outer interpolation nodes through the lifting procedure and solves the
-   reduced global problem.
+   the cut boundary away from the region of interest), placed at a package
+   location by :func:`place_submodel`, and
+3. the global stage, which applies the coarse displacements to the outer
+   interpolation nodes through the lifting procedure and solves the reduced
+   problem.
 
-The same coarse displacements can be applied to a fine full-FEM sub-model
+:func:`repro.api.run` executes a :class:`~repro.api.SimulationSpec` with a
+:class:`~repro.api.SubModelSpec` that way.  The same coarse displacements can
+be applied to a fine full-FEM sub-model
 (:class:`~repro.baselines.full_fem.FullFEMReference` with
 ``boundary="submodel"``) to obtain the ground truth of the second paper
 scenario.
@@ -17,14 +20,9 @@ scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.baselines.coarse_model import CoarsePackageSolution
 from repro.geometry.array_layout import TSVArrayLayout
 from repro.geometry.package import ChipletPackage, SubModelLocation
 from repro.geometry.tsv import TSVGeometry
-from repro.rom.workflow import MoreStressSimulator, SimulationResult
-from repro.utils.validation import ValidationError, check_positive_int
 
 
 def place_submodel(
@@ -37,12 +35,11 @@ def place_submodel(
 ) -> tuple[SubModelLocation, TSVArrayLayout]:
     """Resolve a package location and build the padded sub-model layout there.
 
-    The single source of truth for sub-model placement, shared by
-    :class:`SubModelingDriver`, the spec executor (:mod:`repro.api.executor`)
-    and the scenario-2 experiment driver: a probe layout (array plus
-    ``ring_width`` dummy rings at the origin) sizes the footprint, the named
-    location is resolved against the package, and the same layout is placed
-    at the resolved origin.
+    The single source of truth for sub-model placement, shared by the spec
+    executor (:mod:`repro.api.executor`) and the scenario-2 experiment
+    driver: a probe layout (array plus ``ring_width`` dummy rings at the
+    origin) sizes the footprint, the named location is resolved against the
+    package, and the same layout is placed at the resolved origin.
     """
     probe = TSVArrayLayout.with_dummy_ring(tsv, rows=rows, cols=cols, ring_width=ring_width)
     if isinstance(location, str):
@@ -50,100 +47,4 @@ def place_submodel(
     return location, probe.translated(location.origin)
 
 
-@dataclass
-class SubModelingDriver:
-    """Runs MORE-Stress as a sub-model inside a chiplet package.
-
-    Parameters
-    ----------
-    simulator:
-        A configured :class:`~repro.rom.workflow.MoreStressSimulator`.
-    package:
-        The chiplet package geometry.
-    coarse_solution:
-        The solved coarse package model (must use the same thermal load as
-        the sub-model simulations).
-    dummy_ring_width:
-        Number of dummy block rings padding the TSV array (paper uses 2).
-    """
-
-    simulator: MoreStressSimulator
-    package: ChipletPackage
-    coarse_solution: CoarsePackageSolution
-    dummy_ring_width: int = 2
-
-    def __post_init__(self) -> None:
-        check_positive_int("dummy_ring_width", self.dummy_ring_width, minimum=0)
-        interposer_thickness = (
-            self.package.interposer_z_range[1] - self.package.interposer_z_range[0]
-        )
-        if abs(interposer_thickness - self.simulator.tsv.height) > 1e-9:
-            raise ValidationError(
-                "the TSV height must equal the interposer thickness "
-                f"({self.simulator.tsv.height} vs {interposer_thickness})"
-            )
-
-    # ------------------------------------------------------------------ #
-    # layout helpers
-    # ------------------------------------------------------------------ #
-    def padded_layout(self, rows: int, cols: int | None, location: SubModelLocation) -> TSVArrayLayout:
-        """The dummy-padded sub-model layout placed at a package location."""
-        return place_submodel(
-            self.simulator.tsv,
-            self.package,
-            rows=rows,
-            cols=cols,
-            ring_width=self.dummy_ring_width,
-            location=location,
-        )[1]
-
-    def location(self, name_or_location: str | SubModelLocation, rows: int, cols: int | None = None) -> SubModelLocation:
-        """Resolve a location name (``"loc1"``..``"loc5"``) to a placement."""
-        return place_submodel(
-            self.simulator.tsv,
-            self.package,
-            rows=rows,
-            cols=cols,
-            ring_width=self.dummy_ring_width,
-            location=name_or_location,
-        )[0]
-
-    # ------------------------------------------------------------------ #
-    # simulation
-    # ------------------------------------------------------------------ #
-    def simulate(
-        self,
-        rows: int,
-        cols: int | None = None,
-        location: str | SubModelLocation = "loc1",
-        delta_t: float | None = None,
-    ) -> SimulationResult:
-        """Simulate the embedded TSV array at one package location.
-
-        .. deprecated::
-            Thin adapter kept for convenience: a sub-model run is equally
-            described by a :class:`repro.api.SimulationSpec` with a
-            :class:`repro.api.SubModelSpec` and executed with
-            :func:`repro.api.run`, which shares the coarse solve and the
-            factorisation across multi-case location/load studies.
-
-        ``delta_t`` defaults to the thermal load of the coarse solution (the
-        physically consistent choice); passing a different value is allowed
-        for sensitivity studies but will be inconsistent with the coarse
-        boundary data.
-        """
-        if delta_t is None:
-            delta_t = self.coarse_solution.delta_t
-        resolved = self.location(location, rows, cols)
-        layout = self.padded_layout(rows, cols, resolved)
-        return self.simulator.simulate_array(
-            rows=rows,
-            cols=cols,
-            delta_t=delta_t,
-            boundary="submodel",
-            layout=layout,
-            displacement_field=self.coarse_solution.displacement_field(),
-        )
-
-
-__all__ = ["SubModelingDriver", "place_submodel"]
+__all__ = ["place_submodel"]

@@ -1,21 +1,16 @@
 """High-level MORE-Stress workflow.
 
-:class:`MoreStressSimulator` ties the one-shot local stage and the global
-stage together behind a small API: configure the TSV technology once, then
-simulate arrays of arbitrary sizes, thermal loads and (via sub-modeling)
-package locations.  The reduced order models are built lazily and cached, so
-repeated simulations pay only the global-stage cost — exactly the usage model
-the paper advertises.
-
-The actual execution lives in the declarative layer
-(:func:`repro.api.execute_cases` / :func:`repro.api.run`); the ``simulate_*``
-methods here are thin, signature-stable adapters kept for convenience and
-backward compatibility.
+:class:`MoreStressSimulator` holds the configuration of one TSV technology
+and its reduced order models: the one-shot local stage runs lazily (or is
+skipped on a ROM-cache hit) and every later global solve reuses the ROMs —
+exactly the usage model the paper advertises.  Simulations run through the
+declarative layer: :func:`repro.api.run` executes a
+:class:`~repro.api.SimulationSpec`, and :func:`repro.api.execute_cases`
+solves one layout for one or many thermal loads with a configured simulator.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.fem.solver import SolverOptions
-from repro.geometry.array_layout import BlockKind, TSVArrayLayout
+from repro.geometry.array_layout import BlockKind
 from repro.geometry.tsv import TSVGeometry
 from repro.geometry.unit_block import UnitBlockGeometry
 from repro.materials.library import MaterialLibrary
-from repro.materials.temperature import ThermalLoad
 from repro.mesh.resolution import MeshResolution
 from repro.rom.cache import ROMCache
 from repro.rom.global_stage import GlobalSolution
@@ -122,16 +116,26 @@ class MoreStressSimulator:
         Worker count for independent local-stage block builds (e.g. the
         TSV and dummy ROMs of sub-modeling).  ``None`` uses one worker per
         CPU; results are bit-identical to ``jobs=1``.
-    solver_backend:
-        Optional :mod:`repro.fem.backends` backend name applied to both
-        stages: it overrides ``solver_options.backend`` for the global solve
-        and supplies the local stage's factorisation.  Unavailable optional
-        backends fall back gracefully.
 
     Example
     -------
+    A run described as data needs no simulator of its own:
+    :func:`repro.api.run` builds one from the spec.
+
+    >>> from repro.api import GeometrySpec, SimulationSpec, run
+    >>> result = run(SimulationSpec(geometry=GeometrySpec(pitch=15.0, rows=4)))
+    >>> result.cases[0].von_mises.shape[0]
+    4
+
+    A caller that holds a configured simulator (for instance one whose ROMs
+    came from :meth:`load_roms`) solves a layout with
+    :func:`repro.api.execute_cases`:
+
+    >>> from repro.api import execute_cases
+    >>> from repro.geometry import TSVArrayLayout
     >>> sim = MoreStressSimulator(TSVGeometry.paper_default(pitch=15.0))
-    >>> result = sim.simulate_array(rows=4, delta_t=-250.0)
+    >>> layout = TSVArrayLayout.full(sim.tsv, rows=4)
+    >>> result, = execute_cases(sim, layout, [-250.0])
     >>> result.von_mises_midplane().shape[0]
     4
     """
@@ -145,7 +149,6 @@ class MoreStressSimulator:
     )
     rom_cache: "ROMCache | str | Path | None" = None
     jobs: int | None = None
-    solver_backend: str | None = None
     _roms: dict[BlockKind, ReducedOrderModel] = field(default_factory=dict, repr=False)
     _local_stage_seconds: float = field(default=0.0, repr=False)
 
@@ -153,10 +156,6 @@ class MoreStressSimulator:
         self.mesh_resolution = MeshResolution.from_spec(self.mesh_resolution)
         self.scheme = InterpolationScheme(tuple(self.nodes_per_axis))
         self.rom_cache = ROMCache.from_spec(self.rom_cache)
-        if self.solver_backend is not None:
-            self.solver_options = dataclasses.replace(
-                self.solver_options, backend=self.solver_backend
-            )
 
     # ------------------------------------------------------------------ #
     # local stage management
@@ -174,7 +173,6 @@ class MoreStressSimulator:
             scheme=self.scheme,
             cache=self.rom_cache,
             jobs=self.jobs,
-            solver_backend=self.solver_backend,
         )
         block = UnitBlockGeometry(tsv=self.tsv, has_tsv=True)
         wanted = [(BlockKind.TSV, block)]
@@ -222,92 +220,6 @@ class MoreStressSimulator:
         if not self._roms:
             raise ValidationError(f"no ROM files found in {directory}")
         return dict(self._roms)
-
-    # ------------------------------------------------------------------ #
-    # simulation
-    # ------------------------------------------------------------------ #
-    def simulate_array(
-        self,
-        rows: int,
-        cols: int | None = None,
-        delta_t: float | ThermalLoad = -250.0,
-        boundary: str = "clamped",
-        layout: TSVArrayLayout | None = None,
-        displacement_field=None,
-    ) -> SimulationResult:
-        """Simulate a TSV array and return the reduced-order solution.
-
-        .. deprecated::
-            This is a thin adapter over the declarative executor
-            (:func:`repro.api.execute_cases`); new code should describe runs
-            as a :class:`repro.api.SimulationSpec` and call
-            :func:`repro.api.run`, which also batches multi-case workloads
-            and records provenance.  The signature is kept stable.
-
-        Parameters
-        ----------
-        rows, cols:
-            Array size (``cols`` defaults to ``rows``).  Ignored when an
-            explicit ``layout`` is supplied.
-        delta_t:
-            Thermal load in degC (or a :class:`ThermalLoad`).
-        boundary:
-            ``"clamped"`` for the standalone-array scenario or ``"submodel"``
-            for sub-modeling with ``displacement_field`` boundary data.
-        layout:
-            Optional explicit layout (e.g. one with dummy padding rings).
-        displacement_field:
-            Callable mapping global coordinates to displacements, required
-            for ``boundary="submodel"``.
-        """
-        from repro.api.executor import execute_cases
-
-        if layout is None:
-            layout = TSVArrayLayout.full(self.tsv, rows=rows, cols=cols)
-        return execute_cases(
-            self,
-            layout,
-            [delta_t],
-            boundary=boundary,
-            displacement_fields=displacement_field,
-            batched=False,
-        )[0]
-
-    def simulate_load_sweep(
-        self,
-        rows: int,
-        delta_ts,
-        cols: int | None = None,
-        boundary: str = "clamped",
-        layout: TSVArrayLayout | None = None,
-        displacement_fields=None,
-    ) -> list[SimulationResult]:
-        """Simulate one array under many thermal loads with one factorisation.
-
-        .. deprecated::
-            Thin adapter over :func:`repro.api.execute_cases` (batched mode);
-            prefer a multi-:class:`~repro.api.LoadCase`
-            :class:`~repro.api.SimulationSpec` with :func:`repro.api.run`.
-            The signature is kept stable.
-
-        The global system is assembled and factorised once
-        (:meth:`GlobalStage.solve_many`) and every ``delta_t`` (and, for
-        ``boundary="submodel"``, every displacement-field variant) is a cheap
-        back-substitution.  Returns one :class:`SimulationResult` per load;
-        the shared global-stage wall-clock time is attributed to each result.
-        """
-        from repro.api.executor import execute_cases
-
-        if layout is None:
-            layout = TSVArrayLayout.full(self.tsv, rows=rows, cols=cols)
-        return execute_cases(
-            self,
-            layout,
-            delta_ts,
-            boundary=boundary,
-            displacement_fields=displacement_fields,
-            batched=True,
-        )
 
 
 __all__ = ["MoreStressSimulator", "SimulationResult"]

@@ -18,6 +18,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.api import execute_cases  # noqa: E402
 from repro.baselines.full_fem import FullFEMReference  # noqa: E402
 from repro.geometry.array_layout import TSVArrayLayout  # noqa: E402
 from repro.geometry.tsv import TSVGeometry  # noqa: E402
@@ -112,6 +113,7 @@ def reference_2x2(materials, tsv15):
 
 
 @pytest.fixture(scope="session")
-def rom_result_2x2(simulator_tiny):
+def rom_result_2x2(simulator_tiny, tsv15):
     """MORE-Stress solution of the same clamped 2x2 array (tiny mesh)."""
-    return simulator_tiny.simulate_array(rows=2, delta_t=DELTA_T)
+    layout = TSVArrayLayout.full(tsv15, rows=2)
+    return execute_cases(simulator_tiny, layout, [DELTA_T])[0]

@@ -1,9 +1,14 @@
-"""Reference oracle for the batched hex8 kernels and the assembly built on them.
+"""Reference oracles for the batched kernels and the vectorized global stage.
 
-These are the per-element kernels and the per-group assembly loops the
-package used before the kernels were batched: one 4-operand ``einsum`` per
-``(dx, dy, dz, material)`` group.  They are kept here, outside ``src/``, only
-so tests can assert that the batched path reproduces them bit for bit.
+These are the loops the package used before its hot paths were batched:
+
+* the per-element hex8 kernels and the per-group fine-mesh assembly (one
+  4-operand ``einsum`` per ``(dx, dy, dz, material)`` group), and
+* the per-node dict numbering of the global interpolation nodes and the
+  per-block scatter of the global stage's abstract element matrices.
+
+They are kept here, outside ``src/``, only so tests and benchmarks can
+assert that the batched paths reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -97,3 +102,69 @@ def oracle_assemble_thermal_load(mesh, materials, material_data=None):
     load = np.zeros(mesh.num_dofs, dtype=float)
     np.add.at(load, dof_map.ravel(), fe_per_group[group_of_element].ravel())
     return load
+
+
+def oracle_global_numbering(layout, scheme):
+    """Per-node dict numbering of a layout's global interpolation nodes.
+
+    Returns ``(node_keys, block_node_ids)``: the ``(i, j, k)`` grid key of
+    every global node in id order, shape ``(N, 3)``, and the global node ids
+    of every block's surface nodes, shape ``(rows, cols, ns)``.  Ids follow
+    first appearance over the blocks in row-major order.
+    """
+    nx, ny, _ = scheme.nodes_per_axis
+    surface_indices = scheme.surface_node_indices()
+    node_index = {}
+    block_node_ids = np.empty(
+        (layout.rows, layout.cols, surface_indices.shape[0]), dtype=np.int64
+    )
+    for row in range(layout.rows):
+        for col in range(layout.cols):
+            keys_i = surface_indices[:, 0] + col * (nx - 1)
+            keys_j = surface_indices[:, 1] + row * (ny - 1)
+            keys_k = surface_indices[:, 2]
+            for local, key in enumerate(zip(keys_i, keys_j, keys_k)):
+                key = (int(key[0]), int(key[1]), int(key[2]))
+                if key not in node_index:
+                    node_index[key] = len(node_index)
+                block_node_ids[row, col, local] = node_index[key]
+    node_keys = np.asarray(list(node_index.keys()), dtype=np.int64)
+    return node_keys, block_node_ids
+
+
+def oracle_global_scatter(roms, layout, block_node_ids, delta_t):
+    """Per-block COO triplets ``(rows, cols, data)`` and load vector ``rhs``.
+
+    ``roms`` maps each block kind of ``layout`` to its reduced order model.
+    The triplets come in row-major block order, block 0's ``n x n`` entries
+    first; the load is accumulated block by block with ``np.add.at``.
+    """
+    n = next(iter(roms.values())).scheme.num_element_dofs
+    num_dofs = 3 * (int(block_node_ids.max()) + 1)
+    element_rhs = {kind: rom.element_rhs(delta_t) for kind, rom in roms.items()}
+    rows_list, cols_list, data_list = [], [], []
+    rhs = np.zeros(num_dofs, dtype=float)
+    for row, col, kind in layout.iter_blocks():
+        nodes = block_node_ids[row, col]
+        dofs = (3 * nodes[:, None] + np.arange(3)).ravel()
+        rows_list.append(np.repeat(dofs, n))
+        cols_list.append(np.tile(dofs, n))
+        data_list.append(roms[kind].element_stiffness.ravel())
+        np.add.at(rhs, dofs, element_rhs[kind])
+    return (
+        np.concatenate(rows_list),
+        np.concatenate(cols_list),
+        np.concatenate(data_list),
+        rhs,
+    )
+
+
+def oracle_global_assemble(roms, layout, delta_t):
+    """Assembled CSR global stiffness, load vector and node keys, by the loops above."""
+    scheme = next(iter(roms.values())).scheme
+    node_keys, block_node_ids = oracle_global_numbering(layout, scheme)
+    rows, cols, data, rhs = oracle_global_scatter(roms, layout, block_node_ids, delta_t)
+    num_dofs = 3 * node_keys.shape[0]
+    matrix = sp.coo_matrix((data, (rows, cols)), shape=(num_dofs, num_dofs)).tocsr()
+    matrix.sum_duplicates()
+    return matrix, rhs, node_keys

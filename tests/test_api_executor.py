@@ -1,9 +1,9 @@
 """Tests for the spec executor (repro.api.executor) and RunResult persistence.
 
 The acceptance bar: one JSON spec drives an array run, a multi-load sweep and
-a sub-model run end to end, producing stress fields bit-identical to the
-equivalent direct ``MoreStressSimulator``/``SubModelingDriver`` calls, with
-the sweep factorizing once (visible in the solver stats) and the RunResult
+a sub-model run end to end, producing stress fields bit-identical to direct
+``GlobalStage.solve``/``solve_many`` calls on the same ROMs, with the sweep
+factorizing once (visible in the solver stats) and the RunResult
 manifest surviving a save/load round trip.
 """
 
@@ -22,15 +22,18 @@ from repro.api import (
     RunResult,
     SimulationSpec,
     SubModelSpec,
+    execute_cases,
     run,
 )
 from repro.baselines.coarse_model import CoarseChipletModel
+from repro.geometry.array_layout import TSVArrayLayout
 from repro.geometry.package import ChipletPackage
 from repro.materials.library import MaterialLibrary
 from repro.rom.global_stage import GlobalStage
-from repro.rom.submodeling import SubModelingDriver
+from repro.rom.submodeling import place_submodel
 from repro.rom.workflow import MoreStressSimulator
 from repro.utils.memory import peak_rss_bytes
+from repro.utils.validation import ValidationError
 
 MESH = MeshSpec(resolution="tiny", nodes_per_axis=(3, 3, 3), points_per_block=5)
 
@@ -45,6 +48,16 @@ def _simulator(spec: SimulationSpec) -> MoreStressSimulator:
     )
 
 
+def _stage(spec: SimulationSpec, include_dummy: bool = False) -> GlobalStage:
+    """A global stage on freshly built ROMs of ``spec``, bypassing the executor."""
+    simulator = _simulator(spec)
+    return GlobalStage(
+        simulator.build_roms(include_dummy=include_dummy),
+        simulator.materials,
+        simulator.solver_options,
+    )
+
+
 class TestArrayRun:
     def test_single_case_bit_identical_to_simulate_array(self):
         spec = SimulationSpec(
@@ -54,7 +67,8 @@ class TestArrayRun:
         )
         # Round trip through JSON first: the *document* drives the run.
         result = run(SimulationSpec.from_json(spec.to_json()))
-        direct = _simulator(spec).simulate_array(rows=2, delta_t=-250.0)
+        layout = TSVArrayLayout.full(spec.geometry.build_tsv(), rows=2)
+        direct = _stage(spec).solve(layout, delta_t=-250.0)
         assert np.array_equal(
             result.case("cooldown").von_mises, direct.von_mises_midplane(5)
         )
@@ -99,7 +113,8 @@ class TestLoadSweep:
         assert all(case.group == 0 for case in result.cases)
         assert all(case.solver_method.endswith("-batched") for case in result.cases)
 
-        direct = _simulator(spec).simulate_load_sweep(rows=2, delta_ts=delta_ts)
+        layout = TSVArrayLayout.full(spec.geometry.build_tsv(), rows=2)
+        direct = _stage(spec).solve_many(layout, delta_ts)
         for case, reference in zip(result.cases, direct):
             assert np.array_equal(case.von_mises, reference.von_mises_midplane(5))
 
@@ -124,6 +139,28 @@ class TestLoadSweep:
         assert result.case("c").local_stage_seconds == result.case("a").local_stage_seconds
 
 
+class TestExecuteCases:
+    """The engine behind ``run`` for callers that hold a configured simulator."""
+
+    def test_empty_load_list_rejected(self):
+        simulator = _simulator(SimulationSpec(mesh=MESH))
+        layout = TSVArrayLayout.full(simulator.tsv, rows=1)
+        with pytest.raises(ValidationError, match="delta_ts is empty"):
+            execute_cases(simulator, layout, [])
+        # Rejected before the local stage: no ROM was built.
+        assert simulator.local_stage_seconds == 0.0
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_field_count_must_match_the_single_load(self, count):
+        simulator = _simulator(SimulationSpec(mesh=MESH))
+        layout = TSVArrayLayout.with_dummy_ring(simulator.tsv, rows=1, cols=1, ring_width=1)
+        fields = [lambda points: np.zeros((points.shape[0], 3))] * count
+        with pytest.raises(ValidationError, match=f"got {count} displacement fields"):
+            execute_cases(
+                simulator, layout, [-250.0], boundary="submodel", displacement_fields=fields
+            )
+
+
 class TestSubModelRun:
     @pytest.fixture(scope="class")
     def submodel_spec(self):
@@ -140,13 +177,20 @@ class TestSubModelRun:
         package = ChipletPackage.scaled_default(1.0)
         materials = MaterialLibrary.default()
         coarse = CoarseChipletModel(package, materials, inplane_cells=10).solve(-250.0)
-        driver = SubModelingDriver(
-            simulator=_simulator(submodel_spec),
-            package=package,
-            coarse_solution=coarse,
-            dummy_ring_width=1,
+        _, layout = place_submodel(
+            submodel_spec.geometry.build_tsv(),
+            package,
+            rows=2,
+            cols=2,
+            ring_width=1,
+            location="loc3",
         )
-        direct = driver.simulate(rows=2, cols=2, location="loc3", delta_t=-250.0)
+        direct = _stage(submodel_spec, include_dummy=True).solve(
+            layout,
+            delta_t=-250.0,
+            boundary_condition="submodel",
+            displacement_field=coarse.displacement_field(),
+        )
         assert np.array_equal(
             result.case("corner").von_mises, direct.von_mises_midplane(5)
         )

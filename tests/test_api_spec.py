@@ -25,6 +25,7 @@ from repro.api import (
     SpecError,
     SubModelSpec,
 )
+from repro.geometry.package import ChipletPackage
 from repro.mesh.resolution import MeshResolution
 from repro.utils.validation import ValidationError
 
@@ -281,6 +282,28 @@ class TestFailureModesNameTheField:
                 geometry=GeometrySpec(rows=2, height=40.0),
                 submodel=SubModelSpec(),
             )
+
+    def test_submodel_height_must_match_the_package_interposer(self, monkeypatch):
+        """The check reads the interposer of the package ``run`` builds."""
+        # Scaling the package is in-plane only: the interposer stays 50 um.
+        SimulationSpec(
+            geometry=GeometrySpec(rows=2, height=50.0),
+            submodel=SubModelSpec(package_scale=2.0),
+        )
+        with pytest.raises(
+            ValidationError, match=r"interposer thickness \(50.0\) for sub-modeling, got 80.0"
+        ):
+            SimulationSpec(
+                geometry=GeometrySpec(rows=2, height=80.0),
+                submodel=SubModelSpec(package_scale=2.0),
+            )
+        thick = ChipletPackage(interposer_thickness=80.0)
+        monkeypatch.setattr(
+            ChipletPackage, "scaled_default", classmethod(lambda cls, scale=1.0: thick)
+        )
+        SimulationSpec(geometry=GeometrySpec(rows=2, height=80.0), submodel=SubModelSpec())
+        with pytest.raises(ValidationError, match=r"interposer thickness \(80.0\)"):
+            SimulationSpec(geometry=GeometrySpec(rows=2, height=50.0), submodel=SubModelSpec())
 
     def test_duplicate_material_override_rejected(self):
         with pytest.raises(ValidationError, match="copper"):
@@ -757,6 +780,30 @@ class TestSpecErrorTextIsPinned:
                 "'hotspot_threshold_fraction', 'hotspots', 'points_per_block', 'top_k', "
                 "'z_planes'])",
                 id="output.unknown",
+            ),
+            pytest.param(
+                {"schema_version": True},
+                "spec.schema_version: unsupported version True "
+                "(this build reads versions [1, 2, 3])",
+                id="spec.schema_version-bool",
+            ),
+            pytest.param(
+                {"schema_version": 1.0},
+                "spec.schema_version: unsupported version 1.0 "
+                "(this build reads versions [1, 2, 3])",
+                id="spec.schema_version-float1",
+            ),
+            pytest.param(
+                {"schema_version": 2.0},
+                "spec.schema_version: unsupported version 2.0 "
+                "(this build reads versions [1, 2, 3])",
+                id="spec.schema_version-float2",
+            ),
+            pytest.param(
+                {"schema_version": 3.0},
+                "spec.schema_version: unsupported version 3.0 "
+                "(this build reads versions [1, 2, 3])",
+                id="spec.schema_version-float3",
             ),
         ],
     )

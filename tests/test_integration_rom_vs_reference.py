@@ -11,17 +11,29 @@ evaluation at reduced scale:
   converged node count.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.analysis.metrics import normalized_mae
 from repro.baselines.full_fem import FullFEMReference
 from repro.baselines.linear_superposition import LinearSuperpositionMethod
+from repro.api import GeometrySpec, LoadCase, MeshSpec, SimulationSpec, run
 from repro.geometry.array_layout import TSVArrayLayout
-from repro.rom.workflow import MoreStressSimulator
 
 DELTA_T = -250.0
 POINTS = 15
+
+
+def _rom_midplane(tsv, materials, nodes):
+    """Mid-plane von Mises of the clamped 2x2 array, from one ``run``."""
+    spec = SimulationSpec(
+        geometry=GeometrySpec(**dataclasses.asdict(tsv), rows=2),
+        mesh=MeshSpec(resolution="tiny", nodes_per_axis=nodes, points_per_block=POINTS),
+        load_cases=(LoadCase(delta_t=DELTA_T),),
+    )
+    return run(spec, materials=materials).cases[0].von_mises
 
 
 @pytest.fixture(scope="module")
@@ -79,14 +91,8 @@ class TestConvergenceWithNodes:
     def test_error_decreases_with_node_count(self, materials, tsv15, reference_vm):
         errors = []
         for nodes in [(2, 2, 2), (3, 3, 3), (4, 4, 4)]:
-            simulator = MoreStressSimulator(
-                tsv15, materials, mesh_resolution="tiny", nodes_per_axis=nodes
-            )
-            result = simulator.simulate_array(rows=2, delta_t=DELTA_T)
             errors.append(
-                normalized_mae(
-                    result.von_mises_midplane(points_per_block=POINTS), reference_vm
-                )
+                normalized_mae(_rom_midplane(tsv15, materials, nodes), reference_vm)
             )
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 0.01
@@ -100,11 +106,9 @@ class TestPitchSensitivity:
         reference = FullFEMReference(materials, resolution="tiny")
         vm_reference = reference.solve_array(layout, DELTA_T).von_mises_midplane(POINTS)
 
-        simulator = MoreStressSimulator(
-            tsv10, materials, mesh_resolution="tiny", nodes_per_axis=(4, 4, 4)
+        rom_error = normalized_mae(
+            _rom_midplane(tsv10, materials, (4, 4, 4)), vm_reference
         )
-        result = simulator.simulate_array(rows=2, delta_t=DELTA_T)
-        rom_error = normalized_mae(result.von_mises_midplane(POINTS), vm_reference)
 
         superposition = LinearSuperpositionMethod(materials, resolution="tiny", window_blocks=3)
         estimate = superposition.estimate(layout, DELTA_T, points_per_block=POINTS)

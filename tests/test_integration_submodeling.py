@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import normalized_mae
+from repro.api import execute_cases
 from repro.baselines.coarse_model import CoarseChipletModel
 from repro.baselines.full_fem import FullFEMReference
+from repro.geometry.array_layout import TSVArrayLayout
 from repro.geometry.package import ChipletPackage
 from repro.materials.library import MaterialLibrary
-from repro.rom.submodeling import SubModelingDriver
+from repro.rom.submodeling import place_submodel
 from repro.rom.workflow import MoreStressSimulator
 
 DELTA_T = -250.0
@@ -27,20 +29,30 @@ def submodeling_setup(tsv15):
     simulator = MoreStressSimulator(
         tsv15, materials, mesh_resolution="tiny", nodes_per_axis=(4, 4, 4)
     )
-    driver = SubModelingDriver(
-        simulator=simulator, package=package, coarse_solution=coarse, dummy_ring_width=1
-    )
     reference = FullFEMReference(materials, resolution="tiny")
-    return driver, reference, coarse
+    return simulator, package, reference, coarse
+
+
+def _embedded(simulator, package, coarse, location):
+    """The 2x2 array, padded by one dummy ring, at a package location."""
+    _, layout = place_submodel(
+        simulator.tsv, package, rows=2, cols=2, ring_width=1, location=location
+    )
+    (result,) = execute_cases(
+        simulator,
+        layout,
+        [coarse.delta_t],
+        boundary="submodel",
+        displacement_fields=coarse.displacement_field(),
+    )
+    return layout, result
 
 
 class TestSubmodelAccuracy:
     @pytest.mark.parametrize("location", ["loc1", "loc5"])
     def test_rom_matches_fine_submodel(self, submodeling_setup, location):
-        driver, reference, coarse = submodeling_setup
-        rows = cols = 2
-        resolved = driver.location(location, rows, cols)
-        layout = driver.padded_layout(rows, cols, resolved)
+        simulator, package, reference, coarse = submodeling_setup
+        layout, result = _embedded(simulator, package, coarse, location)
 
         reference_solution = reference.solve_array(
             layout,
@@ -50,7 +62,6 @@ class TestSubmodelAccuracy:
         )
         vm_reference = reference_solution.von_mises_midplane(points_per_block=12)
 
-        result = driver.simulate(rows=rows, cols=cols, location=location)
         vm_rom = result.von_mises_midplane(points_per_block=12)
 
         error = normalized_mae(vm_rom, vm_reference)
@@ -59,9 +70,11 @@ class TestSubmodelAccuracy:
     def test_background_warpage_shifts_stress(self, submodeling_setup):
         """The embedded array's stress field differs from the standalone case
         because the package warpage couples in (paper §5.2)."""
-        driver, _, _ = submodeling_setup
-        embedded = driver.simulate(rows=2, cols=2, location="loc5")
-        standalone = driver.simulator.simulate_array(rows=2, delta_t=DELTA_T)
+        simulator, package, _, coarse = submodeling_setup
+        _, embedded = _embedded(simulator, package, coarse, "loc5")
+        (standalone,) = execute_cases(
+            simulator, TSVArrayLayout.full(simulator.tsv, rows=2), [DELTA_T]
+        )
         vm_embedded = embedded.von_mises_midplane(points_per_block=10)
         vm_standalone = standalone.von_mises_midplane(points_per_block=10)
         relative_shift = np.abs(vm_embedded - vm_standalone).max() / vm_standalone.max()

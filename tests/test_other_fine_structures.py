@@ -7,9 +7,12 @@ material bindings) and check the full pipeline still runs and produces
 physically ordered results.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.api import GeometrySpec, LoadCase, MeshSpec, SimulationSpec, run
 from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import (
     ROLE_COPPER,
@@ -19,9 +22,20 @@ from repro.materials.library import (
     ROLE_UNDERFILL,
     MaterialLibrary,
 )
-from repro.rom.workflow import MoreStressSimulator
 
 DELTA_T = -250.0
+
+
+def _midplane(geometry, library, points_per_block):
+    """Mid-plane von Mises of a clamped 2x2 array of ``geometry`` in ``library``."""
+    spec = SimulationSpec(
+        geometry=GeometrySpec(**dataclasses.asdict(geometry), rows=2),
+        mesh=MeshSpec(
+            resolution="tiny", nodes_per_axis=(3, 3, 3), points_per_block=points_per_block
+        ),
+        load_cases=(LoadCase(delta_t=DELTA_T),),
+    )
+    return run(spec, materials=library).cases[0].von_mises
 
 
 def _pillar_library() -> MaterialLibrary:
@@ -49,11 +63,7 @@ class TestOtherFineStructures:
         ids=["copper-pillar", "solder-bump"],
     )
     def test_pipeline_runs_for_non_tsv_structures(self, geometry, library_factory):
-        simulator = MoreStressSimulator(
-            geometry, library_factory(), mesh_resolution="tiny", nodes_per_axis=(3, 3, 3)
-        )
-        result = simulator.simulate_array(rows=2, delta_t=DELTA_T)
-        vm = result.von_mises_midplane(points_per_block=8)
+        vm = _midplane(geometry, library_factory(), points_per_block=8)
         assert vm.shape == (2, 2, 8, 8)
         assert np.all(np.isfinite(vm))
         assert vm.max() > 1.0  # some stress must develop
@@ -63,16 +73,10 @@ class TestOtherFineStructures:
         less than a TSV in stiff silicon: the mean von Mises stress over the
         unit cell mid-plane must drop (the copper core itself can carry more
         axial stress, so the *peak* is not the discriminating quantity)."""
-        tsv_sim = MoreStressSimulator(
-            tsv15, materials, mesh_resolution="tiny", nodes_per_axis=(3, 3, 3)
-        )
-        vm_tsv = tsv_sim.simulate_array(rows=2, delta_t=DELTA_T).von_mises_midplane(8)
+        vm_tsv = _midplane(tsv15, materials, points_per_block=8)
 
         pillar_geometry = TSVGeometry(
             diameter=5.0, height=50.0, liner_thickness=0.5, pitch=15.0
         )
-        pillar_sim = MoreStressSimulator(
-            pillar_geometry, _pillar_library(), mesh_resolution="tiny", nodes_per_axis=(3, 3, 3)
-        )
-        vm_pillar = pillar_sim.simulate_array(rows=2, delta_t=DELTA_T).von_mises_midplane(8)
+        vm_pillar = _midplane(pillar_geometry, _pillar_library(), points_per_block=8)
         assert vm_pillar.mean() < vm_tsv.mean()

@@ -21,14 +21,12 @@ class TestPublicAPI:
 
     def test_quickstart_pattern(self):
         """The README / docstring quickstart must stay valid."""
-        geometry = repro.TSVGeometry(
-            diameter=5.0, height=50.0, liner_thickness=0.5, pitch=15.0
+        spec = repro.SimulationSpec(
+            geometry=repro.GeometrySpec(
+                diameter=5.0, height=50.0, liner_thickness=0.5, pitch=15.0, rows=2, cols=2
+            ),
+            mesh=repro.MeshSpec(resolution="tiny", nodes_per_axis=(3, 3, 3), points_per_block=5),
+            load_cases=(repro.LoadCase(delta_t=-250.0),),
         )
-        simulator = repro.MoreStressSimulator(
-            geometry,
-            repro.MaterialLibrary.default(),
-            mesh_resolution="tiny",
-            nodes_per_axis=(3, 3, 3),
-        )
-        result = simulator.simulate_array(rows=2, delta_t=-250.0)
-        assert result.von_mises_midplane(points_per_block=5).shape == (2, 2, 5, 5)
+        result = repro.run(spec)
+        assert result.cases[0].von_mises.shape == (2, 2, 5, 5)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import execute_cases
 from repro.fem.fields import von_mises
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.tsv import TSVGeometry
@@ -565,7 +566,8 @@ class TestMemoryBoundedLargeArray:
             mesh_resolution="coarse",
             nodes_per_axis=(2, 2, 2),
         )
-        return simulator, simulator.simulate_array(rows=20, delta_t=-250.0)
+        layout = TSVArrayLayout.full(simulator.tsv, rows=20)
+        return simulator, execute_cases(simulator, layout, [-250.0])[0]
 
     def test_peak_memory_bounded_by_one_block(self, large_result):
         simulator, result = large_result

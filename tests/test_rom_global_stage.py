@@ -14,6 +14,7 @@ from repro.rom.global_dofs import GlobalDofManager
 from repro.rom.global_stage import GlobalOperator, GlobalStage
 from repro.rom.reconstruction import BlockFieldSampler, block_midplane_points
 from repro.utils.validation import ValidationError
+from tests.fem_oracle import oracle_global_assemble, oracle_global_numbering
 
 DELTA_T = -250.0
 
@@ -98,11 +99,6 @@ class TestGlobalDofManager:
             manager.blocks_dof_ids(rows, cols), stacked[rows * layout.cols + cols]
         )
 
-    def test_invalid_numbering_mode_rejected(self, tsv15, scheme_333):
-        layout = TSVArrayLayout.full(tsv15, rows=1, cols=1)
-        with pytest.raises(ValidationError):
-            GlobalDofManager(layout, scheme_333, numbering="fancy")
-
 
 class TestVectorizedNumberingEquivalence:
     """The vectorized numbering must reproduce the reference loop exactly."""
@@ -111,11 +107,9 @@ class TestVectorizedNumberingEquivalence:
     def test_numbering_identical_to_loop(self, tsv15, scheme_333, rows, cols):
         layout = TSVArrayLayout.full(tsv15, rows=rows, cols=cols)
         vectorized = GlobalDofManager(layout, scheme_333)
-        loop = GlobalDofManager(layout, scheme_333, numbering="loop")
-        np.testing.assert_array_equal(vectorized._node_keys, loop._node_keys)
-        np.testing.assert_array_equal(
-            vectorized._block_node_ids, loop._block_node_ids
-        )
+        node_keys, block_node_ids = oracle_global_numbering(layout, scheme_333)
+        np.testing.assert_array_equal(vectorized._node_keys, node_keys)
+        np.testing.assert_array_equal(vectorized._block_node_ids, block_node_ids)
 
 
 class TestGlobalStageAssembly:
@@ -180,8 +174,8 @@ class TestVectorizedAssemblyEquivalence:
     def _compare(self, stage, layout):
         operator_v, rhs_v, manager_v = stage.assemble(layout, DELTA_T)
         matrix_v = operator_v.tocsr()
-        matrix_r, rhs_r, manager_r = stage.assemble_reference(layout, DELTA_T)
-        assert manager_v.num_global_dofs == manager_r.num_global_dofs
+        matrix_r, rhs_r, node_keys_r = oracle_global_assemble(stage.roms, layout, DELTA_T)
+        np.testing.assert_array_equal(manager_v._node_keys, node_keys_r)
         matrix_v.sort_indices()
         matrix_r.sort_indices()
         np.testing.assert_array_equal(matrix_v.indptr, matrix_r.indptr)

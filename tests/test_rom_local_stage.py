@@ -235,20 +235,6 @@ class TestLocalStageConfiguration:
         with pytest.raises(ValidationError):
             LocalStage(materials, "tiny", scheme_333, jobs=0)
 
-    def test_unknown_solver_backend_rejected_eagerly(
-        self, materials, tiny_resolution, scheme_333
-    ):
-        # Eager: a typo must not survive until (or be masked by) a warm
-        # cache hit.
-        with pytest.raises(ValidationError, match="unknown solver backend"):
-            LocalStage(materials, tiny_resolution, scheme_333, solver_backend="petsc")
-
-    def test_solver_backend_alias_normalized(self, materials, tiny_resolution, scheme_333):
-        stage = LocalStage(
-            materials, tiny_resolution, scheme_333, solver_backend="direct"
-        )
-        assert stage.solver_backend == "direct-splu"
-
 
 class TestParallelLocalStage:
     """The parallel schedule must never change the numbers (ISSUE 2)."""
@@ -273,12 +259,3 @@ class TestParallelLocalStage:
             tsv_block
         )
         assert np.array_equal(tsv_rom.basis, reference.basis)
-
-    def test_explicit_direct_backend_matches_default(
-        self, materials, tsv_block, tiny_resolution, scheme_333
-    ):
-        default = LocalStage(materials, tiny_resolution, scheme_333).build(tsv_block)
-        explicit = LocalStage(
-            materials, tiny_resolution, scheme_333, solver_backend="direct-splu"
-        ).build(tsv_block)
-        assert np.array_equal(default.basis, explicit.basis)

@@ -1,17 +1,37 @@
-"""Unit tests for the high-level simulator workflow and the sub-modeling driver."""
+"""Unit tests for the simulator workflow and sub-model runs.
+
+A configured :class:`MoreStressSimulator` holds the ROMs; layouts are solved
+with :func:`repro.api.execute_cases`, sub-model layouts are placed with
+:func:`repro.rom.submodeling.place_submodel`.
+"""
 
 import numpy as np
 import pytest
 
+from repro.api import (
+    GeometrySpec,
+    LoadCase,
+    MeshSpec,
+    SimulationSpec,
+    SubModelSpec,
+    execute_cases,
+    run,
+)
 from repro.baselines.coarse_model import CoarseChipletModel
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.geometry.package import ChipletPackage
 from repro.materials.temperature import ThermalLoad
-from repro.rom.submodeling import SubModelingDriver
+from repro.rom.submodeling import place_submodel
 from repro.rom.workflow import MoreStressSimulator
 from repro.utils.validation import ValidationError
 
 DELTA_T = -250.0
+
+
+def _solve(simulator, rows, cols=None, delta_t=DELTA_T):
+    """One clamped ``rows x cols`` array under one load."""
+    layout = TSVArrayLayout.full(simulator.tsv, rows=rows, cols=cols)
+    return execute_cases(simulator, layout, [delta_t])[0]
 
 
 class TestMoreStressSimulator:
@@ -33,16 +53,16 @@ class TestMoreStressSimulator:
         assert np.all(np.isfinite(vm))
 
     def test_rectangular_array(self, simulator_tiny):
-        result = simulator_tiny.simulate_array(rows=1, cols=3, delta_t=DELTA_T)
+        result = _solve(simulator_tiny, rows=1, cols=3)
         assert result.von_mises_midplane(points_per_block=5).shape == (1, 3, 5, 5)
 
     def test_thermal_load_object_accepted(self, simulator_tiny):
-        result = simulator_tiny.simulate_array(rows=1, delta_t=ThermalLoad.paper_default())
+        result = _solve(simulator_tiny, rows=1, delta_t=ThermalLoad.paper_default())
         assert result.delta_t == pytest.approx(-250.0)
 
     def test_stress_scales_linearly_with_delta_t(self, simulator_tiny):
-        full = simulator_tiny.simulate_array(rows=2, delta_t=DELTA_T)
-        half = simulator_tiny.simulate_array(rows=2, delta_t=DELTA_T / 2)
+        full = _solve(simulator_tiny, rows=2)
+        half = _solve(simulator_tiny, rows=2, delta_t=DELTA_T / 2)
         vm_full = full.von_mises_midplane(points_per_block=6)
         vm_half = half.von_mises_midplane(points_per_block=6)
         np.testing.assert_allclose(vm_half, 0.5 * vm_full, rtol=1e-6)
@@ -56,8 +76,8 @@ class TestMoreStressSimulator:
             tsv15, materials, mesh_resolution="tiny", nodes_per_axis=(4, 4, 4)
         )
         fresh.load_roms(tmp_path)
-        result_fresh = fresh.simulate_array(rows=2, delta_t=DELTA_T)
-        result_orig = simulator_tiny.simulate_array(rows=2, delta_t=DELTA_T)
+        result_fresh = _solve(fresh, rows=2)
+        result_orig = _solve(simulator_tiny, rows=2)
         np.testing.assert_allclose(
             result_fresh.von_mises_midplane(6), result_orig.von_mises_midplane(6), rtol=1e-9
         )
@@ -70,12 +90,12 @@ class TestMoreStressSimulator:
 
     def test_explicit_layout_with_dummy_ring(self, simulator_tiny, tsv15):
         layout = TSVArrayLayout.with_dummy_ring(tsv15, rows=1, cols=1, ring_width=1)
-        result = simulator_tiny.simulate_array(
-            rows=1,
-            delta_t=DELTA_T,
-            layout=layout,
+        (result,) = execute_cases(
+            simulator_tiny,
+            layout,
+            [DELTA_T],
             boundary="submodel",
-            displacement_field=lambda pts: np.zeros((pts.shape[0], 3)),
+            displacement_fields=lambda pts: np.zeros((pts.shape[0], 3)),
         )
         # Only the TSV region is sampled by default.
         assert result.von_mises_midplane(points_per_block=5).shape == (1, 1, 5, 5)
@@ -133,47 +153,65 @@ class TestCoarseChipletModel:
 
 
 class TestSubModelingDriver:
+    """Sub-model runs: placement in the package and solves on the padded layout."""
+
     @pytest.fixture(scope="class")
-    def driver(self, materials, tsv15):
+    def submodel(self, materials, tsv15):
         package = ChipletPackage()
         coarse = CoarseChipletModel(package, materials, inplane_cells=10).solve(DELTA_T)
         simulator = MoreStressSimulator(
             tsv15, materials, mesh_resolution="tiny", nodes_per_axis=(3, 3, 3)
         )
-        return SubModelingDriver(
-            simulator=simulator,
-            package=package,
-            coarse_solution=coarse,
-            dummy_ring_width=1,
+
+        def solve(location):
+            _, layout = place_submodel(
+                tsv15, package, rows=2, cols=2, ring_width=1, location=location
+            )
+            return execute_cases(
+                simulator,
+                layout,
+                [coarse.delta_t],
+                boundary="submodel",
+                displacement_fields=coarse.displacement_field(),
+            )[0]
+
+        return package, solve
+
+    def test_padded_layout(self, submodel, tsv15):
+        package, _ = submodel
+        location, layout = place_submodel(
+            tsv15, package, rows=2, cols=2, ring_width=1, location="loc1"
         )
-
-    def test_height_mismatch_rejected(self, materials, tsv15):
-        package = ChipletPackage(interposer_thickness=80.0)
-        coarse = CoarseChipletModel(package, materials, inplane_cells=6).solve(DELTA_T)
-        simulator = MoreStressSimulator(tsv15, materials, mesh_resolution="tiny")
-        with pytest.raises(ValidationError):
-            SubModelingDriver(simulator, package, coarse)
-
-    def test_padded_layout(self, driver):
-        location = driver.location("loc1", rows=2, cols=2)
-        layout = driver.padded_layout(2, 2, location)
         assert layout.shape == (4, 4)
         assert layout.num_tsv_blocks == 4
         assert layout.origin == location.origin
 
-    def test_simulate_produces_positive_stress(self, driver):
-        result = driver.simulate(rows=2, cols=2, location="loc1")
-        vm = result.von_mises_midplane(points_per_block=6)
+    def test_simulate_produces_positive_stress(self, submodel):
+        _, solve = submodel
+        vm = solve("loc1").von_mises_midplane(points_per_block=6)
         assert vm.shape == (2, 2, 6, 6)
         assert vm.max() > 50.0  # hundreds of MPa expected around the vias
 
-    def test_different_locations_give_different_fields(self, driver):
-        centre = driver.simulate(rows=2, cols=2, location="loc1")
-        corner = driver.simulate(rows=2, cols=2, location="loc5")
-        vm_centre = centre.von_mises_midplane(points_per_block=6)
-        vm_corner = corner.von_mises_midplane(points_per_block=6)
+    def test_different_locations_give_different_fields(self, submodel):
+        _, solve = submodel
+        vm_centre = solve("loc1").von_mises_midplane(points_per_block=6)
+        vm_corner = solve("loc5").von_mises_midplane(points_per_block=6)
         assert not np.allclose(vm_centre, vm_corner, rtol=1e-3)
 
-    def test_delta_t_defaults_to_coarse_solution(self, driver):
-        result = driver.simulate(rows=2, cols=2, location="loc2")
-        assert result.delta_t == pytest.approx(DELTA_T)
+    def test_delta_t_defaults_to_coarse_solution(self):
+        """``run`` solves the coarse package at each case's own load, so the
+        boundary data stays consistent: half the load, half the stress."""
+        spec = SimulationSpec(
+            geometry=GeometrySpec(pitch=15.0, rows=2),
+            mesh=MeshSpec(resolution="tiny", nodes_per_axis=(3, 3, 3), points_per_block=6),
+            load_cases=(
+                LoadCase(name="full", delta_t=DELTA_T),
+                LoadCase(name="half", delta_t=DELTA_T / 2),
+            ),
+            submodel=SubModelSpec(dummy_ring_width=1, coarse_inplane_cells=10, location="loc2"),
+        )
+        result = run(spec)
+        assert result.case("full").delta_t == pytest.approx(DELTA_T)
+        np.testing.assert_allclose(
+            result.case("half").von_mises, 0.5 * result.case("full").von_mises, rtol=1e-6
+        )
