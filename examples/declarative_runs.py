@@ -5,8 +5,9 @@ A :class:`repro.api.SimulationSpec` captures everything a run needs —
 geometry, materials, mesh fidelity, solver, load cases, optional sub-modeling
 context — in one frozen object that round-trips losslessly through JSON.
 ``repro.api.run()`` plans the cheapest execution: the reduced order models
-are built once per spec, and load cases sharing a layout are solved with a
-single assembly + factorisation (the ``solve_many`` batched path).
+are built once per spec, and load cases sharing a layout share one assembly
+and one eliminated global system, each case then solved on its own with the
+spec's solver (``GlobalStage.solve_many``).
 
 The same spec files execute from the command line:
 
@@ -28,8 +29,8 @@ SPECS_DIR = Path(__file__).parent / "specs"
 def main() -> None:
     # ----------------------------------------------------------------- #
     # 1. A multi-case load sweep from a JSON file.  Three thermal loads
-    #    share the 3x3 layout (one factorisation, three back-substitutions)
-    #    and a fourth case sweeps the array size with the same ROMs.
+    #    share the 3x3 layout (one assembly, three GMRES solves) and a
+    #    fourth case sweeps the array size with the same ROMs.
     # ----------------------------------------------------------------- #
     spec = SimulationSpec.from_json((SPECS_DIR / "load_sweep.json").read_text())
     result = run(spec)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reusing reduced order models: persistence, the ROM cache and batched solves.
+"""Reusing reduced order models: persistence, the ROM cache and load sweeps.
 
 The one-shot local stage of MORE-Stress only depends on the TSV technology
 (materials + geometry + resolution), not on the array being analysed.  This
@@ -11,8 +11,8 @@ example shows the three reuse mechanisms layered on top of that fact:
    cache directory skips the local stage automatically, across processes,
    with the material fingerprint guarding against stale reuse,
 3. a multi-case :class:`~repro.api.SimulationSpec` — :func:`repro.api.run`
-   assembles and factorises the array once and back-substitutes every
-   thermal load (the global system is linear in ``delta_t``).
+   assembles the array once and solves the eliminated global system for
+   every thermal load.
 
 A simulator that holds ROMs loaded from disk solves a layout with
 :func:`repro.api.execute_cases`.
@@ -67,12 +67,12 @@ def main() -> None:
                 f"max von Mises {vm_max:7.1f} MPa"
             )
 
-        # --- the ROM cache + a batched thermal sweep ------------------------
+        # --- the ROM cache + a thermal sweep ---------------------------------
         # Same technology, new run: the cache key (geometry, resolution,
         # interpolation scheme, material fingerprint) hits the bundle stored
         # by `builder`, so no local stage runs here at all.  Stress scales
         # linearly with the thermal load (Eq. 1), and the four cases share
-        # one layout, so the global system is factorised once for all loads.
+        # one layout, so the global system is assembled once for all loads.
         spec = SimulationSpec(
             name="thermal-sweep",
             geometry=GeometrySpec(pitch=10.0, rows=5),
@@ -89,7 +89,7 @@ def main() -> None:
             f"load ({cache.hits - hits} hit)"
         )
         print(
-            f"thermal sweep ({first.solver_method}, shared factorisation, "
+            f"thermal sweep ({first.solver_method}, shared assembly, "
             f"{first.global_stage_seconds:.3f} s total):"
         )
         for case in sweep.cases:

@@ -11,9 +11,10 @@ were loaded from disk) solve a layout with :func:`execute_cases`, the engine
    (reduced order models are built **once** per run — they depend only on the
    geometry/mesh/scheme/material fingerprint, not on array size or load),
 2. groups load cases by ``(rows, cols, location)``: cases in a group share
-   the same global system, so a multi-case group is solved with **one**
-   assembly + factorisation via :meth:`GlobalStage.solve_many` while a
-   single-case group takes the plain :meth:`GlobalStage.solve` path,
+   the same layout, so :meth:`GlobalStage.solve_many` assembles it and
+   eliminates its Dirichlet DoFs **once**, then solves each case on the
+   shared ``K_ff`` with the spec's solver; grouping changes no case's
+   result,
 3. for sub-model specs, solves the coarse package model once per distinct
    thermal load and applies its displacements to the padded layouts, and
 4. returns a :class:`RunResult` with per-case stress fields, diagnostics and
@@ -62,13 +63,13 @@ def execute_cases(
 ) -> "list[SimulationResult]":
     """Solve one layout for one or many thermal loads; one result per load.
 
-    This is the engine behind :func:`run`: build (or fetch cached) ROMs,
-    assemble the global stage and solve.  One load takes the plain
-    :meth:`GlobalStage.solve` path; several share one assembly and
-    factorisation through :meth:`GlobalStage.solve_many`, which
-    back-substitutes every load (and, for ``boundary="submodel"``, every
-    entry of a ``displacement_fields`` list).  The shared global-stage time
-    is attributed to each result.
+    This is the engine behind :func:`run`: build (or fetch cached) ROMs and
+    solve the layout through :meth:`GlobalStage.solve_many`, which assembles
+    it once and runs one linear solve per load (and, for
+    ``boundary="submodel"``, per entry of a ``displacement_fields`` list, or
+    for every load with one shared callable).  A case's result does not
+    depend on the other loads of the call.  The global-stage time of the
+    call is attributed to each result.
 
     >>> sim = MoreStressSimulator(TSVGeometry.paper_default(pitch=15.0))  # doctest: +SKIP
     >>> layout = TSVArrayLayout.full(sim.tsv, rows=4)  # doctest: +SKIP
@@ -92,30 +93,12 @@ def execute_cases(
     )
     timer = Timer()
     with timer:
-        if len(loads) > 1:
-            solutions = stage.solve_many(
-                layout,
-                loads,
-                boundary_condition=boundary,
-                displacement_fields=displacement_fields,
-            )
-        else:
-            displacement_field = displacement_fields
-            if isinstance(displacement_field, (list, tuple)):
-                if len(displacement_field) != 1:
-                    raise ValidationError(
-                        f"got {len(displacement_field)} displacement fields "
-                        "for 1 thermal load"
-                    )
-                (displacement_field,) = displacement_field
-            solutions = [
-                stage.solve(
-                    layout,
-                    delta_t=loads[0],
-                    boundary_condition=boundary,
-                    displacement_field=displacement_field,
-                )
-            ]
+        solutions = stage.solve_many(
+            layout,
+            loads,
+            boundary_condition=boundary,
+            displacement_fields=displacement_fields,
+        )
     # Process-wide resident-set high-water mark: one system call, no
     # allocation tracing, and correct under the service's worker threads.
     peak_memory = peak_rss_bytes()
@@ -410,8 +393,9 @@ def run(
                 location=location,
             )
             boundary = "submodel"
-            fields = [coarse_for(case.delta_t).displacement_field() for _, case in members]
-            displacement_fields = fields[0] if len(fields) == 1 else fields
+            displacement_fields = [
+                coarse_for(case.delta_t).displacement_field() for _, case in members
+            ]
 
         delta_ts = [case.delta_t for _, case in members]
         results = None

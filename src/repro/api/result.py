@@ -67,8 +67,9 @@ class CaseResult:
         ``(rows, cols, p, p)`` with ``p`` = ``mesh.points_per_block``.
     group:
         Index of the execution group this case was solved in.  Cases sharing
-        a group were solved with **one** assembly + factorisation
-        (:meth:`GlobalStage.solve_many`).
+        a group share one assembly and one eliminated system ``K_ff``
+        (:meth:`GlobalStage.solve_many`); each is its own solve, so the group
+        does not change the case's result.
     peak_memory_bytes:
         Process peak RSS (``ru_maxrss``) at the end of the case group's
         global stage, in bytes.  It is the process-wide high-water mark, not
@@ -76,8 +77,10 @@ class CaseResult:
         checkpoints written before this meaning was adopted carry the
         global stage's peak ``tracemalloc`` bytes in the same field.
     solver_method:
-        The solver/backed actually used (from :class:`SolveStats`), e.g.
-        ``"gmres"`` or ``"direct-batched"``.
+        The solver backend that answered this case's solve (from
+        :class:`SolveStats`), e.g. ``"gmres"``, ``"direct-splu"``, or
+        ``"gmres->direct-splu"`` / ``"gmres+direct-fallback"`` when a
+        fallback took over.
     field_data:
         The full volumetric :class:`~repro.postprocess.fields.ArrayField` of
         this case when the spec requested one (:class:`OutputSpec`),

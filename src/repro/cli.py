@@ -659,7 +659,7 @@ def _print_run_summary(result: RunResult, verbose_cache: bool = True) -> None:
         print(f"  reduced DoFs    : {case.num_global_dofs}")
         print(f"  peak von Mises  : {vm.max():.1f} MPa")
     print(f"local stage       : {result.local_stage_seconds:.2f} s (shared)")
-    print(f"execution groups  : {result.num_case_groups} (one factorisation each)")
+    print(f"execution groups  : {result.num_case_groups} (one assembly each)")
     if verbose_cache and result.rom_cache_stats is not None:
         stats = result.rom_cache_stats
         print(f"rom cache         : {stats['hits']} hit(s), {stats['misses']} miss(es)")

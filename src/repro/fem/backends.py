@@ -305,15 +305,10 @@ class SparseBackend:
     fallback:
         Backends tried, in order, when this one is unavailable; the registry
         appends ``"direct-splu"`` as the terminal fallback.
-    matrix_free:
-        Whether :meth:`solve` works from matrix-vector products alone, so it
-        accepts a :class:`scipy.sparse.linalg.LinearOperator` that provides
-        ``diagonal()`` (and ``tocsc()`` for the direct fallback).
     """
 
     name: str = ""
     fallback: tuple[str, ...] = ()
-    matrix_free: bool = False
 
     @classmethod
     def is_available(cls) -> bool:
@@ -335,7 +330,12 @@ class SparseBackend:
     def solve(
         self, matrix: sp.spmatrix, rhs: np.ndarray, options
     ) -> tuple[np.ndarray, SolveStats]:
-        """Solve ``matrix @ x = rhs``; return ``(solution, stats)``."""
+        """Solve ``matrix @ x = rhs``; return ``(solution, stats)``.
+
+        ``matrix`` is a sparse matrix or a
+        :class:`scipy.sparse.linalg.LinearOperator` with ``diagonal()``,
+        ``tocsr()`` and ``tocsc()`` (the global stage's ``K_ff``).
+        """
         raise NotImplementedError
 
 
@@ -359,8 +359,6 @@ class DirectSuperLUBackend(SparseBackend):
 
 class _IterativeBackend(SparseBackend):
     """Shared plumbing of the Jacobi-preconditioned Krylov backends."""
-
-    matrix_free = True
 
     def _run(self, matrix, rhs, options):
         """Run the Krylov method; return ``(solution, iterations, info)``."""

@@ -6,14 +6,15 @@ in the paper:
 * :func:`lift_system` implements the "lifting" procedure of §4.2: rows of the
   stiffness matrix belonging to constrained DoFs are replaced by identity rows
   and the right-hand side receives the prescribed values.  The solution of the
-  lifted system contains the prescribed values exactly.  This keeps the system
-  at full size (handy for the global ROM stage where constrained and free DoFs
-  interleave arbitrarily).
+  lifted system contains the prescribed values exactly, at full size.  No
+  solve path of the package uses it; the tests keep it as an oracle of the
+  elimination.
 * :func:`reduce_system` eliminates the constrained DoFs instead, producing the
   smaller symmetric positive definite system
   ``A_ff x_f = b_f - A_fb u_b`` (paper Eq. 13).  This is what the local stage
-  and the conjugate-gradient reference solver use; the global stage's
-  iterative solves do the same elimination matrix-free.
+  and the reference solvers use; the global stage does the same elimination
+  matrix-free (``GlobalOperator.apply_dirichlet`` in
+  :mod:`repro.rom.global_stage`) for every backend.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ class DirichletBC:
         if dofs.size != values.size:
             raise ValidationError(
                 f"dofs ({dofs.size}) and values ({values.size}) must have equal length"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = dofs[~finite]
+            raise ValidationError(
+                f"{bad.size} Dirichlet value(s) are not finite, first at DoF {bad[0]}"
             )
         order = np.argsort(dofs, kind="stable")
         dofs = dofs[order]
@@ -194,10 +201,11 @@ def lift_system(
     Rows of ``matrix`` belonging to constrained DoFs are replaced by identity
     rows and the corresponding entries of ``rhs`` are set to the prescribed
     values.  The returned matrix is no longer symmetric, so it needs a
-    direct factorisation or GMRES, not CG.  Iterative global solves eliminate
-    the constrained DoFs instead, as :func:`reduce_system` does, without
+    direct factorisation or GMRES, not CG.  The global stage eliminates the
+    constrained DoFs instead, as :func:`reduce_system` does, without
     assembling the matrix (``GlobalOperator.apply_dirichlet`` in
-    :mod:`repro.rom.global_stage`); that keeps the system symmetric.
+    :mod:`repro.rom.global_stage`); that keeps the system symmetric and
+    smaller, for direct and iterative backends alike.
     """
     matrix = matrix.tocsr(copy=True)
     rhs = np.asarray(rhs, dtype=float).copy()

@@ -6,11 +6,10 @@ The package needs three kinds of solves:
   hundreds of right-hand sides (:class:`FactorizedOperator`);
 * the reference full-FEM solver handles the largest systems and uses either a
   direct factorisation or preconditioned conjugate gradients;
-* the global ROM system is solved with GMRES (the paper's choice) or CG on
-  a matrix-free operator over the free DoFs only, with the Dirichlet DoFs
-  eliminated, which keeps it symmetric positive definite; direct
-  factorisations get the assembled matrix with the constrained rows lifted
-  to identity rows.
+* the global ROM system ``K_ff`` — the stiffness over the free DoFs, with
+  the Dirichlet DoFs eliminated, which keeps it symmetric positive definite
+  — is a matrix-free operator; GMRES (the paper's choice) and CG use its
+  products alone, direct factorisations its assembled ``tocsc()``.
 
 The actual numerics live in the pluggable backends of
 :mod:`repro.fem.backends` (SuperLU, Jacobi-preconditioned CG/GMRES and the

@@ -2,8 +2,8 @@
 
 The acceptance bar: one JSON spec drives an array run, a multi-load sweep and
 a sub-model run end to end, producing stress fields bit-identical to direct
-``GlobalStage.solve``/``solve_many`` calls on the same ROMs, with the sweep
-factorizing once (visible in the solver stats) and the RunResult
+``GlobalStage.solve_many`` calls on the same ROMs, with every case of a
+grouped sweep solved exactly as it would be alone, and the RunResult
 manifest surviving a save/load round trip.
 """
 
@@ -21,6 +21,7 @@ from repro.api import (
     MeshSpec,
     RunResult,
     SimulationSpec,
+    SolverSpec,
     SubModelSpec,
     execute_cases,
     run,
@@ -68,7 +69,7 @@ class TestArrayRun:
         # Round trip through JSON first: the *document* drives the run.
         result = run(SimulationSpec.from_json(spec.to_json()))
         layout = TSVArrayLayout.full(spec.geometry.build_tsv(), rows=2)
-        direct = _stage(spec).solve(layout, delta_t=-250.0)
+        (direct,) = _stage(spec).solve_many(layout, [-250.0])
         assert np.array_equal(
             result.case("cooldown").von_mises, direct.von_mises_midplane(5)
         )
@@ -107,11 +108,11 @@ class TestLoadSweep:
         )
         result = run(SimulationSpec.from_json(spec.to_json()))
 
-        # One execution group, solved with the factorize-once batched path:
-        # the existing solve stats record it as "<backend>-batched".
+        # One execution group: one assembly and one K_ff, then one solve per
+        # load with the spec's GMRES.
         assert result.num_case_groups == 1
         assert all(case.group == 0 for case in result.cases)
-        assert all(case.solver_method.endswith("-batched") for case in result.cases)
+        assert all(case.solver_method == "gmres" for case in result.cases)
 
         layout = TSVArrayLayout.full(spec.geometry.build_tsv(), rows=2)
         direct = _stage(spec).solve_many(layout, delta_ts)
@@ -132,11 +133,34 @@ class TestLoadSweep:
         assert result.num_case_groups == 2
         assert result.case("a").group == result.case("b").group
         assert result.case("c").group != result.case("a").group
-        # a+b share one factorisation; c is a single-case (plain solve) group.
-        assert result.case("a").solver_method.endswith("-batched")
+        # a+b share one K_ff; c is a group of its own.  Every case is a GMRES solve.
+        assert result.case("a").solver_method == "gmres"
         assert result.case("c").solver_method == "gmres"
         # the ROM build (local stage) is shared across all groups
         assert result.case("c").local_stage_seconds == result.case("a").local_stage_seconds
+
+    @pytest.mark.parametrize("method", ["gmres", "cg", "direct"])
+    def test_grouping_does_not_change_a_case(self, method, tmp_path):
+        def spec_of(delta_ts):
+            return SimulationSpec(
+                geometry=GeometrySpec(pitch=15.0, rows=3),
+                mesh=MESH,
+                solver=SolverSpec(method=method),
+                load_cases=tuple(
+                    LoadCase(name=f"dt{dt:g}", delta_t=dt) for dt in delta_ts
+                ),
+            )
+
+        delta_ts = (-250.0, -137.5, -60.0)
+        cache = tmp_path / "cache"
+        grouped = run(spec_of(delta_ts), rom_cache=cache)
+        assert grouped.num_case_groups == 1
+        for case in grouped.cases:
+            (alone,) = run(spec_of((case.delta_t,)), rom_cache=cache).cases
+            assert np.array_equal(case.von_mises, alone.von_mises)
+            assert case.solver_method == alone.solver_method
+        ratios = [case.peak_von_mises / abs(case.delta_t) for case in grouped.cases]
+        assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
 
 
 class TestExecuteCases:
@@ -159,6 +183,13 @@ class TestExecuteCases:
             execute_cases(
                 simulator, layout, [-250.0], boundary="submodel", displacement_fields=fields
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_load_rejected(self, bad):
+        simulator = _simulator(SimulationSpec(mesh=MESH))
+        layout = TSVArrayLayout.full(simulator.tsv, rows=2)
+        with pytest.raises(ValidationError, match="thermal loads must be finite"):
+            execute_cases(simulator, layout, [-250.0, bad])
 
 
 class TestSubModelRun:
@@ -185,11 +216,11 @@ class TestSubModelRun:
             ring_width=1,
             location="loc3",
         )
-        direct = _stage(submodel_spec, include_dummy=True).solve(
+        (direct,) = _stage(submodel_spec, include_dummy=True).solve_many(
             layout,
-            delta_t=-250.0,
+            [-250.0],
             boundary_condition="submodel",
-            displacement_field=coarse.displacement_field(),
+            displacement_fields=coarse.displacement_field(),
         )
         assert np.array_equal(
             result.case("corner").von_mises, direct.von_mises_midplane(5)
@@ -260,13 +291,13 @@ class TestPeakMemory:
 
     def test_global_stage_runs_without_allocation_tracing(self, monkeypatch):
         tracing = []
-        real_solve = GlobalStage.solve
+        real_solve = GlobalStage.solve_many
 
         def recording_solve(self, *args, **kwargs):
             tracing.append(tracemalloc.is_tracing())
             return real_solve(self, *args, **kwargs)
 
-        monkeypatch.setattr(GlobalStage, "solve", recording_solve)
+        monkeypatch.setattr(GlobalStage, "solve_many", recording_solve)
         run(SimulationSpec(geometry=GeometrySpec(rows=2), mesh=MESH))
         assert tracing == [False]
 

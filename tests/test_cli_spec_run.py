@@ -123,10 +123,10 @@ class TestRunExampleSpecs:
     def test_load_sweep_spec_batches(self, capsys):
         assert main(["run", str(self.EXAMPLES / "load_sweep.json")]) == 0
         out = capsys.readouterr().out
-        # three same-layout loads share one factorisation; the extra 5x5
-        # case is its own group
+        # three same-layout loads share one K_ff; the extra 5x5 case is its
+        # own group; every case is a GMRES solve, as the spec asks
         assert "execution groups  : 2" in out
-        assert out.count("-batched") == 3
+        assert out.count("(gmres)") == 4
 
     def test_submodel_spec_runs(self, capsys):
         assert main(["run", str(self.EXAMPLES / "submodel.json")]) == 0

@@ -128,6 +128,11 @@ class TestDirichletBC:
         with pytest.raises(ValidationError):
             DirichletBC(dofs=np.array([1, 2]), values=np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValidationError, match="1 Dirichlet value.*not finite.*DoF 7"):
+            DirichletBC(dofs=np.array([3, 7, 5]), values=np.array([0.0, bad, 1.0]))
+
     def test_merged_with(self):
         a = DirichletBC.fixed(np.array([0, 1]))
         b = DirichletBC(dofs=np.array([5]), values=np.array([2.0]))

@@ -208,7 +208,7 @@ class TestOperatorOracle:
     @staticmethod
     def _solve(rom_tsv_tiny, rom_dummy_tiny, materials, layout):
         roms = {BlockKind.TSV: rom_tsv_tiny, BlockKind.DUMMY: rom_dummy_tiny}
-        return GlobalStage(roms, materials).solve(layout, DELTA_T)
+        return GlobalStage(roms, materials).solve_many(layout, [DELTA_T])[0]
 
     def test_mixed_layout_with_dummy_blocks(
         self, rom_tsv_tiny, rom_dummy_tiny, materials, tsv15

@@ -148,7 +148,7 @@ class TestGlobalStageAssembly:
         with pytest.raises(ValidationError, match="no reduced order models"):
             stage.assemble(layout, DELTA_T)
         with pytest.raises(ValidationError, match="no reduced order models"):
-            stage.solve(layout, DELTA_T)
+            stage.solve_many(layout, [DELTA_T])[0]
 
     def test_inconsistent_rom_pitches_reported(self, rom_tsv_tiny, materials, tsv15, tsv10):
         other = dataclasses.replace(
@@ -269,7 +269,7 @@ def _boundary_conditions(manager):
 
 
 class TestMatrixFreeSolve:
-    """GMRES and CG solve the eliminated free-DoF operator; direct solves stay lifted."""
+    """Every backend solves the eliminated free-DoF operator ``K_ff``."""
 
     @pytest.mark.parametrize("bc_name", ["clamped", "explicit", "submodel"])
     def test_gmres_cg_and_direct_agree(
@@ -281,7 +281,7 @@ class TestMatrixFreeSolve:
         solutions = {}
         for method in ("direct", "gmres", "cg"):
             stage.solver_options = SolverOptions(method=method, rtol=1e-12)
-            solution = stage.solve(layout, DELTA_T, bc, displacement_field=field)
+            (solution,) = stage.solve_many(layout, [DELTA_T], bc, displacement_fields=field)
             assert solution.solver_stats.method == SolverOptions(method=method).effective_backend
             solutions[method] = solution.nodal_displacement
         direct = solutions["direct"]
@@ -290,18 +290,17 @@ class TestMatrixFreeSolve:
         for method in ("gmres", "cg"):
             np.testing.assert_allclose(solutions[method], direct, atol=1e-8 * scale)
 
-    @pytest.mark.parametrize("method", ["gmres", "cg"])
+    @pytest.mark.parametrize("method", ["gmres", "cg", "direct"])
     def test_prescribed_values_are_exact_and_only_free_dofs_iterate(
         self, rom_tsv_tiny, rom_dummy_tiny, materials, method
     ):
-        stage, layout = _ring_stage(
-            rom_tsv_tiny, rom_dummy_tiny, materials, SolverOptions(method=method)
-        )
+        options = SolverOptions(method=method)
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials, options)
         _, _, manager = stage.assemble(layout, DELTA_T)
         bc = _boundary_conditions(manager)["explicit"][0]
         assert np.any(bc.values != 0.0)
-        solution = stage.solve(layout, DELTA_T, bc)
-        assert solution.solver_stats.method == method
+        solution = stage.solve_many(layout, [DELTA_T], bc)[0]
+        assert solution.solver_stats.method == options.effective_backend
         assert np.array_equal(solution.nodal_displacement[bc.dofs], bc.values)
         assert solution.solver_stats.unknowns == (
             manager.num_global_dofs - bc.num_constrained
@@ -321,7 +320,7 @@ class TestMatrixFreeSolve:
         stage, layout = _ring_stage(
             rom_tsv_tiny, rom_dummy_tiny, materials, SolverOptions(method=method)
         )
-        solution = stage.solve(layout, DELTA_T)
+        solution = stage.solve_many(layout, [DELTA_T])[0]
         assert solution.solver_stats.method == method
         assert solution.solver_stats.converged
 
@@ -333,11 +332,11 @@ class TestMatrixFreeSolve:
             rules=({"site": "fem.backends.gmres", "kind": "transient"},)
         )
         with faults.injected_faults(plan):
-            recovered = stage.solve(layout, DELTA_T)
+            recovered = stage.solve_many(layout, [DELTA_T])[0]
         assert plan.fired_counts() == {"fem.backends.gmres:transient": 1}
         assert recovered.solver_stats.method == "gmres->direct-splu"
         stage.solver_options = SolverOptions(method="direct")
-        direct = stage.solve(layout, DELTA_T).nodal_displacement
+        direct = stage.solve_many(layout, [DELTA_T])[0].nodal_displacement
         np.testing.assert_allclose(
             recovered.nodal_displacement, direct, atol=1e-8 * np.abs(direct).max()
         )
@@ -351,10 +350,10 @@ class TestMatrixFreeSolve:
             materials,
             SolverOptions(method="gmres", max_iterations=1, gmres_restart=2),
         )
-        recovered = stage.solve(layout, DELTA_T)
+        recovered = stage.solve_many(layout, [DELTA_T])[0]
         assert recovered.solver_stats.method == "gmres+direct-fallback"
         stage.solver_options = SolverOptions(method="direct")
-        direct = stage.solve(layout, DELTA_T).nodal_displacement
+        direct = stage.solve_many(layout, [DELTA_T])[0].nodal_displacement
         np.testing.assert_allclose(
             recovered.nodal_displacement, direct, atol=1e-8 * np.abs(direct).max()
         )
@@ -371,21 +370,25 @@ class TestSolveMany:
         assert len(batched) == len(loads)
         for delta_t, solution in zip(loads, batched):
             assert solution.delta_t == delta_t
-            reference = stage.solve(layout, delta_t)
-            scale = max(np.abs(reference.nodal_displacement).max(), 1e-30)
-            np.testing.assert_allclose(
-                solution.nodal_displacement,
-                reference.nodal_displacement,
-                atol=1e-8 * scale,
+            (reference,) = stage.solve_many(layout, [delta_t])
+            np.testing.assert_array_equal(
+                solution.nodal_displacement, reference.nodal_displacement
             )
 
     def test_batched_stats_describe_direct_solve(self, rom_tsv_tiny, materials, tsv15):
+        # Each case records the stats of its own direct solve on K_ff.
         layout = TSVArrayLayout.full(tsv15, rows=1, cols=2)
-        stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials)
+        stage = GlobalStage(
+            {BlockKind.TSV: rom_tsv_tiny}, materials, SolverOptions(method="direct")
+        )
         solutions = stage.solve_many(layout, [DELTA_T, DELTA_T / 2])
+        manager = solutions[0].manager
+        free = manager.num_global_dofs - stage.clamped_top_bottom_bc(manager).num_constrained
+        assert solutions[0].solver_stats is not solutions[1].solver_stats
         for solution in solutions:
-            assert solution.solver_stats.method == "direct-batched"
+            assert solution.solver_stats.method == "direct-splu"
             assert solution.solver_stats.converged
+            assert solution.solver_stats.unknowns == free
         # Linearity in the load: half the delta_t gives half the displacement.
         np.testing.assert_allclose(
             solutions[1].nodal_displacement,
@@ -416,9 +419,9 @@ class TestSolveMany:
             displacement_fields=[zero_field, shifted_field],
         )
         for field, solution in zip((zero_field, shifted_field), batched):
-            reference = stage.solve(
-                layout, DELTA_T, boundary_condition="submodel",
-                displacement_field=field,
+            (reference,) = stage.solve_many(
+                layout, [DELTA_T], boundary_condition="submodel",
+                displacement_fields=field,
             )
             scale = max(np.abs(reference.nodal_displacement).max(), 1e-30)
             np.testing.assert_allclose(
@@ -444,6 +447,32 @@ class TestSolveMany:
         with pytest.raises(ValidationError, match="boundary_condition"):
             stage.solve_many(layout, [DELTA_T], boundary_condition="periodic")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loads_rejected_before_assembly(
+        self, rom_tsv_tiny, materials, tsv15, monkeypatch, bad
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("assembled a non-finite load")
+
+        stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials)
+        monkeypatch.setattr(stage, "assemble", forbidden)
+        layout = TSVArrayLayout.full(tsv15, rows=2, cols=2)
+        with pytest.raises(ValidationError, match="thermal loads must be finite"):
+            stage.solve_many(layout, [DELTA_T, bad])
+
+    def test_non_finite_submodel_field_rejected(self, rom_tsv_tiny, materials, tsv15):
+        def field(points):
+            values = np.zeros((points.shape[0], 3))
+            values[3, 1] = np.nan
+            return values
+
+        stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials)
+        layout = TSVArrayLayout.full(tsv15, rows=2, cols=2)
+        with pytest.raises(ValidationError, match="not finite"):
+            stage.solve_many(
+                layout, [DELTA_T], boundary_condition="submodel", displacement_fields=field
+            )
+
 
 class TestGlobalStageSolve:
     def test_clamped_solution_basics(self, rom_tsv_tiny, materials, tsv15):
@@ -453,7 +482,7 @@ class TestGlobalStageSolve:
             materials,
             solver_options=SolverOptions(method="direct"),
         )
-        solution = stage.solve(layout, DELTA_T, boundary_condition="clamped")
+        (solution,) = stage.solve_many(layout, [DELTA_T], boundary_condition="clamped")
         assert solution.nodal_displacement.shape == (solution.num_global_dofs,)
         # Clamped top and bottom interpolation nodes have zero displacement.
         manager = solution.manager
@@ -468,10 +497,10 @@ class TestGlobalStageSolve:
         layout = TSVArrayLayout.full(tsv15, rows=2, cols=1)
         direct = GlobalStage(
             {BlockKind.TSV: rom_tsv_tiny}, materials, SolverOptions(method="direct")
-        ).solve(layout, DELTA_T)
+        ).solve_many(layout, [DELTA_T])[0]
         gmres = GlobalStage(
             {BlockKind.TSV: rom_tsv_tiny}, materials, SolverOptions(method="gmres", rtol=1e-12)
-        ).solve(layout, DELTA_T)
+        ).solve_many(layout, [DELTA_T])[0]
         np.testing.assert_allclose(
             gmres.nodal_displacement,
             direct.nodal_displacement,
@@ -481,7 +510,7 @@ class TestGlobalStageSolve:
     def test_von_mises_midplane_shape_and_symmetry(self, rom_tsv_tiny, materials, tsv15):
         layout = TSVArrayLayout.full(tsv15, rows=2, cols=2)
         stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials, SolverOptions())
-        solution = stage.solve(layout, DELTA_T)
+        solution = stage.solve_many(layout, [DELTA_T])[0]
         vm = solution.von_mises_midplane(points_per_block=10)
         assert vm.shape == (2, 2, 10, 10)
         assert np.all(vm > 0.0)
@@ -491,7 +520,7 @@ class TestGlobalStageSolve:
     def test_flat_output_matches_blocks(self, rom_tsv_tiny, materials, tsv15):
         layout = TSVArrayLayout.full(tsv15, rows=1, cols=2)
         stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials, SolverOptions())
-        solution = stage.solve(layout, DELTA_T)
+        solution = stage.solve_many(layout, [DELTA_T])[0]
         blocks = solution.von_mises_midplane(points_per_block=6)
         flat = solution.von_mises_midplane_flat(points_per_block=6)
         np.testing.assert_allclose(flat, blocks.reshape(-1))
@@ -500,13 +529,13 @@ class TestGlobalStageSolve:
         layout = TSVArrayLayout.full(tsv15, rows=1, cols=1)
         stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials, SolverOptions())
         with pytest.raises(ValidationError):
-            stage.solve(layout, DELTA_T, boundary_condition="submodel")
+            stage.solve_many(layout, [DELTA_T], boundary_condition="submodel")
 
     def test_unknown_bc_rejected(self, rom_tsv_tiny, materials, tsv15):
         layout = TSVArrayLayout.full(tsv15, rows=1, cols=1)
         stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials, SolverOptions())
         with pytest.raises(ValidationError):
-            stage.solve(layout, DELTA_T, boundary_condition="periodic")
+            stage.solve_many(layout, [DELTA_T], boundary_condition="periodic")
 
     def test_prescribed_zero_boundary_equals_clamped_everywhere(
         self, rom_tsv_tiny, materials, tsv15
@@ -516,17 +545,17 @@ class TestGlobalStageSolve:
         layout = TSVArrayLayout.full(tsv15, rows=1, cols=1)
         stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials, SolverOptions())
 
-        submodel = stage.solve(
+        (submodel,) = stage.solve_many(
             layout,
-            DELTA_T,
+            [DELTA_T],
             boundary_condition="submodel",
-            displacement_field=lambda points: np.zeros((points.shape[0], 3)),
+            displacement_fields=lambda points: np.zeros((points.shape[0], 3)),
         )
         matrix, rhs, manager = stage.assemble(layout, DELTA_T)
         explicit_bc = stage.prescribed_boundary_bc(
             manager, lambda points: np.zeros((points.shape[0], 3))
         )
-        explicit = stage.solve(layout, DELTA_T, boundary_condition=explicit_bc)
+        (explicit,) = stage.solve_many(layout, [DELTA_T], boundary_condition=explicit_bc)
         np.testing.assert_allclose(
             submodel.nodal_displacement, explicit.nodal_displacement, atol=1e-10
         )
@@ -615,7 +644,8 @@ class TestMidplaneValidation:
     @pytest.fixture(scope="class")
     def solution(self, rom_tsv_tiny, materials, tsv15):
         layout = TSVArrayLayout.full(tsv15, rows=2, cols=2)
-        return GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials).solve(layout, DELTA_T)
+        stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials)
+        return stage.solve_many(layout, [DELTA_T])[0]
 
     @pytest.mark.parametrize("points", [0, -2, 2.5])
     def test_bad_points_per_block_rejected(self, solution, points):
@@ -629,66 +659,3 @@ class TestMidplaneValidation:
         np.testing.assert_array_equal(solution.von_mises_midplane(4.0), first)
         assert solution.max_von_mises(4) == first.max()
 
-
-class TestBatchedFactorizationGuard:
-    """solve_many must not trust a mis-factorising alternative backend."""
-
-    def test_failed_factorization_falls_back_to_direct(
-        self, rom_tsv_tiny, materials, monkeypatch
-    ):
-        import repro.rom.global_stage as global_stage_module
-
-        class RejectingBackend:
-            name = "rejecting"
-
-            def factorize(self, matrix):
-                raise ValidationError("cannot factorise the matrix: singular")
-
-        monkeypatch.setattr(
-            global_stage_module,
-            "resolve_backend",
-            lambda name: (RejectingBackend(), "rejecting"),
-        )
-        stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials)
-        layout = TSVArrayLayout.full(rom_tsv_tiny.block.tsv, rows=2)
-        reference = stage.solve(layout, DELTA_T)
-        solutions = stage.solve_many(layout, [DELTA_T])
-        assert solutions[0].solver_stats.method == "direct-batched"
-        np.testing.assert_allclose(
-            solutions[0].nodal_displacement, reference.nodal_displacement, atol=1e-8
-        )
-
-    def test_bad_factorization_redone_with_direct(
-        self, rom_tsv_tiny, materials, monkeypatch
-    ):
-        import repro.rom.global_stage as global_stage_module
-
-        class BogusOperator:
-            def __init__(self, matrix):
-                self.shape = matrix.shape
-
-            def solve(self, rhs):
-                return np.zeros_like(np.asarray(rhs, dtype=float))
-
-        class BogusBackend:
-            name = "bogus"
-
-            def factorize(self, matrix):
-                return BogusOperator(matrix)
-
-        monkeypatch.setattr(
-            global_stage_module,
-            "resolve_backend",
-            lambda name: (BogusBackend(), "bogus"),
-        )
-        stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials)
-        layout = TSVArrayLayout.full(rom_tsv_tiny.block.tsv, rows=2)
-        reference = stage.solve(layout, DELTA_T)
-        solutions = stage.solve_many(layout, [DELTA_T])
-        assert solutions[0].solver_stats.method == "direct-batched"
-        assert solutions[0].solver_stats.converged
-        np.testing.assert_allclose(
-            solutions[0].nodal_displacement,
-            reference.nodal_displacement,
-            atol=1e-8,
-        )
