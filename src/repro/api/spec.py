@@ -21,9 +21,10 @@ serialized by its annotation (``float`` fields always as floats, tuples as
 lists, nested specs as objects); a field without a default is required, and
 a missing one takes its default.  The exceptions are data beside the codec:
 ``_CONSTANT_KEYS`` holds the keys written as constants besides the fields
-(``schema_version`` and the retired ``solver.array_backend`` and
-``solver.shard``) with the values each accepts, and ``_REQUIRED_KEYS`` the
-four cell counts an explicit ``mesh.resolution`` object must name.
+(``schema_version`` and the retired ``solver.array_backend``,
+``solver.backend`` and ``solver.shard``) with the values each accepts, and
+``_REQUIRED_KEYS`` the four cell counts an explicit ``mesh.resolution``
+object must name.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Any, Callable, Mapping, NamedTuple, get_args, get_origin, get
 # Deprecated alias: SpecError now lives in the unified exception taxonomy
 # (repro.errors); importing it from here keeps working.
 from repro.errors import SpecError
-from repro.fem.backends import BACKEND_ALIASES, backend_names
 from repro.fem.solver import SolverOptions
 from repro.geometry.package import ChipletPackage
 from repro.geometry.tsv import TSVGeometry
@@ -262,19 +262,12 @@ class SolverSpec:
     """Global-stage solver configuration plus the local-stage worker count."""
 
     method: str = "gmres"
-    backend: str | None = None
     rtol: float = 1e-9
     max_iterations: int = 5000
     gmres_restart: int = 100
     jobs: int | None = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            known = sorted({*backend_names(), *BACKEND_ALIASES})
-            if self.backend not in known:
-                raise ValidationError(
-                    f"backend must be one of {known} or null, got {self.backend!r}"
-                )
         # SolverOptions validates method/rtol/max_iterations eagerly.
         self.build_options()
         if self.jobs is not None:
@@ -284,7 +277,6 @@ class SolverSpec:
         """The :class:`SolverOptions` this spec describes."""
         return SolverOptions(
             method=self.method,
-            backend=self.backend,
             rtol=self.rtol,
             max_iterations=self.max_iterations,
             gmres_restart=self.gmres_restart,
@@ -576,9 +568,10 @@ class _Constant(NamedTuple):
 
 #: Keys a document carries besides the fields of its class.  A missing key
 #: loads; a present one loads only if ``accepts`` its value, and is then
-#: dropped.  ``solver.array_backend`` and ``solver.shard`` are retired fields
-#: (every build computes on numpy; the out-of-core global stage is gone) kept
-#: as constants so that documents, spec hashes and the benchmark's committed
+#: dropped.  ``solver.array_backend``, ``solver.backend`` and ``solver.shard``
+#: are retired fields (every build computes on numpy; ``solver.method`` alone
+#: picks the sparse solver; the out-of-core global stage is gone) kept as
+#: constants so that documents, spec hashes and the benchmark's committed
 #: reference spec stay identical to those of builds that had the fields.
 _CONSTANT_KEYS: dict[type, dict[str, _Constant]] = {
     SimulationSpec: {
@@ -597,6 +590,12 @@ _CONSTANT_KEYS: dict[type, dict[str, _Constant]] = {
             "numpy",
             lambda value: isinstance(value, str) and value.strip().lower() in ("numpy", "np"),
             "only 'numpy' is supported, got {got!r}",
+        ),
+        "backend": _Constant(
+            None,
+            lambda value: value is None,
+            "the solver backend follows solver.method ('direct', 'cg' or 'gmres'), "
+            "so only null is accepted, got {got!r}",
         ),
         "shard": _Constant(
             None,

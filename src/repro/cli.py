@@ -80,7 +80,6 @@ from repro.lint import (
     write_registry as write_fault_site_registry,
 )
 from repro.experiments.config import ConvergenceConfig, Scenario1Config, Scenario2Config
-from repro.fem.backends import BACKEND_ALIASES, available_backends, backend_names
 from repro.experiments.convergence import convergence_table, run_convergence_study
 from repro.experiments.scenario1 import run_scenario1, scenario1_table
 from repro.experiments.scenario2 import run_scenario2, scenario2_table
@@ -204,15 +203,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "override one material role (repeatable): Young's modulus in GPa, "
             "Poisson ratio, CTE in ppm/degC — e.g. --material copper:120,0.34,16.5"
-        ),
-    )
-    parser.add_argument(
-        "--solver-backend",
-        default=None,
-        choices=sorted({*backend_names(), *BACKEND_ALIASES}),
-        help=(
-            "sparse-solver backend for both stages; unavailable optional "
-            "backends fall back gracefully (default: paper settings)"
         ),
     )
     _add_jobs_argument(parser, "the parallel local stage")
@@ -605,11 +595,6 @@ def _command_info() -> int:
     print("\ninterpolation schemes (nodes per axis -> element DoFs n, Eq. 16):")
     for nodes in ((2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5), (6, 6, 6)):
         print(f"  {nodes}  ->  n = {InterpolationScheme(nodes).num_element_dofs}")
-    usable = set(available_backends())
-    print("\nsolver backends (--solver-backend):")
-    for name in backend_names():
-        status = "available" if name in usable else "unavailable (falls back)"
-        print(f"  {name:12s}  {status}")
     return 0
 
 
@@ -643,7 +628,7 @@ def _spec_from_args(args: argparse.Namespace) -> SimulationSpec:
             nodes_per_axis=(args.nodes, args.nodes, args.nodes),
             points_per_block=args.points_per_block,
         ),
-        solver=SolverSpec(backend=args.solver_backend, jobs=args.jobs),
+        solver=SolverSpec(jobs=args.jobs),
         load_cases=(LoadCase(name="cli", delta_t=args.delta_t),),
         output=output,
     )

@@ -14,13 +14,7 @@ from repro.fem.elasticity import ElementMaterialData, material_arrays_for_mesh
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load, element_dof_map
 from repro.fem.boundary import DirichletBC, lift_system, reduce_system, SplitSystem, split_system
 from repro.fem.solver import LinearSolver, SolverOptions, FactorizedOperator, SolveStats
-from repro.fem.backends import (
-    SparseBackend,
-    available_backends,
-    backend_names,
-    get_backend,
-    resolve_backend,
-)
+from repro.fem.backends import BACKENDS, SparseBackend
 from repro.fem.fields import FieldEvaluator, von_mises
 from repro.fem.sampling import midplane_grid_points, PlaneSampler
 
@@ -48,10 +42,7 @@ __all__ = [
     "FactorizedOperator",
     "SolveStats",
     "SparseBackend",
-    "available_backends",
-    "backend_names",
-    "get_backend",
-    "resolve_backend",
+    "BACKENDS",
     "FieldEvaluator",
     "von_mises",
     "midplane_grid_points",

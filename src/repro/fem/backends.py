@@ -1,4 +1,4 @@
-"""Pluggable sparse-solver backends.
+"""The sparse-solver backends behind ``SolverOptions.method``.
 
 Every linear solve in the package — the local stage's repeated
 back-substitutions, the global ROM system, the reference full FEM and the
@@ -11,34 +11,24 @@ backend bundles two capabilities behind the :class:`SparseBackend` interface:
   right-hand sides (the "decompose once" mode of the paper's one-shot local
   stage), optionally in a caller-supplied fill-reducing order.
 
-Backends shipped by default:
+:data:`BACKENDS` maps each method to its backend; ``SolveStats.method``
+reports the backend's name:
 
-``direct-splu``
-    SciPy's SuperLU direct factorisation (alias ``"direct"``).  Always
-    available; the terminal fallback of every other backend.
-``cg``
-    Jacobi-preconditioned conjugate gradients (alias ``"cg+jacobi"``), for
-    symmetric positive definite systems.  Falls back to a direct solve when
-    it does not converge.
-``gmres``
+``direct`` → ``direct-splu``
+    SciPy's SuperLU direct factorisation; the failover of the other two.
+``cg`` → ``cg``
+    Jacobi-preconditioned conjugate gradients, for symmetric positive
+    definite systems.  Falls back to a direct solve when it does not
+    converge (``cg+direct-fallback``).
+``gmres`` → ``gmres``
     Restarted GMRES with a Jacobi preconditioner (the paper's choice for the
     global system), with scipy's stopping rule and a BLAS-2 Arnoldi step
-    (see :func:`_gmres`).
-``cholmod``
-    CHOLMOD sparse Cholesky via ``scikit-sparse``, when importable.
-``pyamg``
-    Algebraic multigrid via ``pyamg``, when importable.
-
-The optional backends are auto-detected at import time; requesting an
-unavailable one falls back along its :attr:`SparseBackend.fallback` chain
-with a logged warning, and the substitution is recorded in
-``SolveStats.method`` (e.g. ``"cholmod->direct-splu"``) by
-:class:`~repro.fem.solver.LinearSolver`.
+    (see :func:`_gmres`); ``gmres+direct-fallback`` when it does not
+    converge.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from dataclasses import dataclass
 
@@ -46,11 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.errors import BackendError
-from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError
-
-_logger = get_logger("fem.backends")
 
 
 @dataclass
@@ -132,33 +118,6 @@ class FactorizedOperator:
         solution = np.empty_like(rhs)
         solution[self._ordering] = self._lu.solve(rhs[self._ordering])
         return solution
-
-
-class _CholmodOperator:
-    """CHOLMOD factorisation with the :class:`FactorizedOperator` interface."""
-
-    def __init__(self, matrix: sp.spmatrix):
-        from sksparse.cholmod import cholesky
-
-        matrix = matrix.tocsc()
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValidationError("matrix must be square to factorise")
-        self._shape = matrix.shape
-        self._factor = cholesky(matrix)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Shape of the factorised matrix."""
-        return self._shape
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute one vector or a block of right-hand sides."""
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self._shape[0]:
-            raise ValidationError(
-                f"rhs has leading dimension {rhs.shape[0]}, expected {self._shape[0]}"
-            )
-        return self._factor(rhs)
 
 
 def _jacobi_inverse_diagonal(matrix: sp.spmatrix) -> np.ndarray:
@@ -297,23 +256,11 @@ def _gmres(
 class SparseBackend:
     """Interface of a sparse-solver backend.
 
-    Attributes
-    ----------
-    name:
-        Canonical registry name (what ``--solver-backend`` accepts and what
-        ``SolveStats.method`` reports).
-    fallback:
-        Backends tried, in order, when this one is unavailable; the registry
-        appends ``"direct-splu"`` as the terminal fallback.
+    ``name`` is what ``SolveStats.method`` reports and what the backend's
+    fault site ``fem.backends.<name>`` is called.
     """
 
     name: str = ""
-    fallback: tuple[str, ...] = ()
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether the backend can run in this environment."""
-        return True
 
     def factorize(
         self, matrix: sp.spmatrix, ordering: np.ndarray | None = None
@@ -340,7 +287,7 @@ class SparseBackend:
 
 
 class DirectSuperLUBackend(SparseBackend):
-    """SciPy SuperLU direct factorisation (always available)."""
+    """SciPy SuperLU direct factorisation."""
 
     name = "direct-splu"
 
@@ -434,171 +381,12 @@ class JacobiGMRESBackend(_IterativeBackend):
         )
 
 
-class CholmodBackend(SparseBackend):
-    """CHOLMOD sparse Cholesky via scikit-sparse (SPD systems only)."""
-
-    name = "cholmod"
-    fallback = ("direct-splu",)
-
-    @classmethod
-    def is_available(cls) -> bool:
-        try:
-            # Probe the actual submodule: a scikit-sparse wheel without a
-            # working SuiteSparse build ships `sksparse` but not a loadable
-            # `sksparse.cholmod`.
-            return importlib.util.find_spec("sksparse.cholmod") is not None
-        except Exception:
-            return False
-
-    def factorize(self, matrix, ordering=None):
-        # CHOLMOD computes its own fill-reducing ordering.
-        return _CholmodOperator(matrix)
-
-    def solve(self, matrix, rhs, options):
-        solution = self.factorize(matrix).solve(rhs)
-        residual = float(np.linalg.norm(matrix @ solution - rhs))
-        rhs_norm = float(np.linalg.norm(rhs))
-        # CHOLMOD reads only one triangle of the matrix and never verifies
-        # symmetry, so a non-symmetric input factorises "successfully" into a
-        # wrong solution.  The residual check catches that (and any
-        # ill-conditioning) and degrades to the direct solver.
-        converged = rhs_norm == 0 or residual <= 10 * options.rtol * rhs_norm
-        stats = SolveStats(
-            method=self.name,
-            iterations=1,
-            residual_norm=residual,
-            converged=bool(converged),
-            unknowns=rhs.size,
-        )
-        if not converged:
-            solution = FactorizedOperator(matrix).solve(rhs)
-            residual = float(np.linalg.norm(matrix @ solution - rhs))
-            stats = SolveStats(
-                method=f"{self.name}+direct-fallback",
-                iterations=1,
-                residual_norm=residual,
-                converged=True,
-                unknowns=rhs.size,
-            )
-        return solution, stats
-
-
-class PyAMGBackend(SparseBackend):
-    """Smoothed-aggregation algebraic multigrid via pyamg."""
-
-    name = "pyamg"
-    fallback = ("cg", "direct-splu")
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return importlib.util.find_spec("pyamg") is not None
-
-    def solve(self, matrix, rhs, options):
-        import pyamg
-
-        matrix = matrix.tocsr()
-        solver = pyamg.smoothed_aggregation_solver(matrix)
-        residuals: list[float] = []
-        solution = solver.solve(
-            rhs,
-            tol=options.rtol,
-            maxiter=options.max_iterations,
-            residuals=residuals,
-        )
-        residual = float(np.linalg.norm(matrix @ solution - rhs))
-        rhs_norm = float(np.linalg.norm(rhs))
-        converged = rhs_norm == 0 or residual <= 10 * options.rtol * rhs_norm
-        stats = SolveStats(
-            method=self.name,
-            iterations=max(0, len(residuals) - 1),
-            residual_norm=residual,
-            converged=bool(converged),
-            unknowns=rhs.size,
-        )
-        if not converged:
-            solution = FactorizedOperator(matrix).solve(rhs)
-            residual = float(np.linalg.norm(matrix @ solution - rhs))
-            stats = SolveStats(
-                method=f"{self.name}+direct-fallback",
-                iterations=stats.iterations,
-                residual_norm=residual,
-                converged=True,
-                unknowns=rhs.size,
-            )
-        return solution, stats
-
-
-_REGISTRY: dict[str, SparseBackend] = {
-    backend.name: backend
-    for backend in (
-        DirectSuperLUBackend(),
-        JacobiCGBackend(),
-        JacobiGMRESBackend(),
-        CholmodBackend(),
-        PyAMGBackend(),
-    )
+#: The backend of each ``SolverOptions.method``.
+BACKENDS: dict[str, SparseBackend] = {
+    "direct": DirectSuperLUBackend(),
+    "cg": JacobiCGBackend(),
+    "gmres": JacobiGMRESBackend(),
 }
-
-#: Accepted spellings that map onto a canonical backend name.
-BACKEND_ALIASES: dict[str, str] = {
-    "direct": "direct-splu",
-    "splu": "direct-splu",
-    "cg+jacobi": "cg",
-}
-
-
-def backend_names() -> tuple[str, ...]:
-    """All registered canonical backend names (available or not)."""
-    return tuple(_REGISTRY)
-
-
-def available_backends() -> tuple[str, ...]:
-    """Canonical names of the backends usable in this environment."""
-    return tuple(
-        name for name, backend in _REGISTRY.items() if backend.is_available()
-    )
-
-
-def canonical_backend_name(name: str) -> str:
-    """Normalize a backend name or alias; raise on unknown names."""
-    key = str(name).strip().lower()
-    key = BACKEND_ALIASES.get(key, key)
-    if key not in _REGISTRY:
-        known = sorted({*_REGISTRY, *BACKEND_ALIASES})
-        raise BackendError(
-            f"unknown solver backend {name!r}; known backends: {', '.join(known)}"
-        )
-    return key
-
-
-def get_backend(name: str) -> SparseBackend:
-    """Return the registered backend of ``name`` (even if unavailable)."""
-    return _REGISTRY[canonical_backend_name(name)]
-
-
-def resolve_backend(name: str) -> tuple[SparseBackend, str]:
-    """Resolve a backend name to a usable backend instance.
-
-    Returns ``(backend, requested)`` where ``requested`` is the canonical
-    form of ``name``.  When the requested backend is unavailable the call
-    walks its fallback chain (terminating at ``direct-splu``, which is always
-    available) and logs the substitution; callers can detect it by comparing
-    ``backend.name`` with ``requested``.
-    """
-    requested = canonical_backend_name(name)
-    backend = _REGISTRY[requested]
-    if backend.is_available():
-        return backend, requested
-    for candidate_name in (*backend.fallback, "direct-splu"):
-        candidate = _REGISTRY[candidate_name]
-        if candidate.is_available():
-            _logger.warning(
-                "solver backend %r is unavailable; falling back to %r",
-                requested,
-                candidate.name,
-            )
-            return candidate, requested
-    raise BackendError(f"no usable solver backend for {name!r}")
 
 
 __all__ = [
@@ -608,12 +396,5 @@ __all__ = [
     "DirectSuperLUBackend",
     "JacobiCGBackend",
     "JacobiGMRESBackend",
-    "CholmodBackend",
-    "PyAMGBackend",
-    "BACKEND_ALIASES",
-    "backend_names",
-    "available_backends",
-    "canonical_backend_name",
-    "get_backend",
-    "resolve_backend",
+    "BACKENDS",
 ]

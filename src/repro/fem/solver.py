@@ -11,13 +11,13 @@ The package needs three kinds of solves:
   — is a matrix-free operator; GMRES (the paper's choice) and CG use its
   products alone, direct factorisations its assembled ``tocsc()``.
 
-The actual numerics live in the pluggable backends of
-:mod:`repro.fem.backends` (SuperLU, Jacobi-preconditioned CG/GMRES and the
-optional CHOLMOD/pyamg backends); :class:`LinearSolver` is the front-end that
-resolves the configured backend — with graceful fallback when an optional
-backend is missing — and records :class:`SolveStats` for every solve.  The
-PETSc backend of the paper is replaced by these SciPy equivalents; the solver
-options dataclass keeps the choice explicit and testable.
+:attr:`SolverOptions.method` is the one solver choice: ``"direct"``
+(SuperLU), ``"cg"`` or ``"gmres"`` (both Jacobi-preconditioned), each run by
+its backend in :data:`repro.fem.backends.BACKENDS`.  :class:`LinearSolver`
+is the front-end: it rejects a non-finite right-hand side, fails a transient
+fault over to the direct solve and records :class:`SolveStats` for every
+solve.  The PETSc solvers of the paper are replaced by these SciPy
+equivalents.
 """
 
 from __future__ import annotations
@@ -28,19 +28,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import faults
-from repro.fem.backends import (
-    FactorizedOperator,
-    SolveStats,
-    canonical_backend_name,
-    resolve_backend,
-)
+from repro.fem.backends import BACKENDS, FactorizedOperator, SolveStats
 from repro.utils.logging import get_logger
 from repro.utils.validation import ValidationError
 
 _logger = get_logger("fem.solver")
-
-#: Legacy ``method`` values and the backend each one routes to.
-_METHOD_BACKENDS = {"direct": "direct-splu", "cg": "cg", "gmres": "gmres"}
 
 
 @dataclass(frozen=True)
@@ -52,15 +44,7 @@ class SolverOptions:
     method:
         ``"direct"`` (SuperLU), ``"cg"`` (Jacobi-preconditioned conjugate
         gradients, SPD systems only) or ``"gmres"`` (restarted GMRES with a
-        Jacobi preconditioner).  Kept for backward compatibility; ``backend``
-        takes precedence when set.
-    backend:
-        Name of a :mod:`repro.fem.backends` backend (``"direct-splu"``,
-        ``"cg"``, ``"gmres"``, ``"cholmod"``, ``"pyamg"`` or an alias such as
-        ``"direct"``).  ``None`` derives the backend from ``method``.
-        Requesting an unavailable optional backend falls back along its
-        fallback chain at solve time; the substitution is recorded in
-        :attr:`SolveStats.method` as ``"requested->actual"``.
+        Jacobi preconditioner).
     rtol:
         Relative residual tolerance for the iterative methods, in ``(0, 1)``.
     max_iterations:
@@ -71,20 +55,14 @@ class SolverOptions:
     """
 
     method: str = "direct"
-    backend: str | None = None
     rtol: float = 1e-8
     max_iterations: int = 5000
     gmres_restart: int = 100
 
     def __post_init__(self) -> None:
-        if self.method not in _METHOD_BACKENDS:
+        if self.method not in BACKENDS:
             raise ValidationError(
                 f"method must be 'direct', 'cg' or 'gmres', got {self.method!r}"
-            )
-        if self.backend is not None:
-            # Normalize aliases eagerly so equal configurations compare equal.
-            object.__setattr__(
-                self, "backend", canonical_backend_name(self.backend)
             )
         if not 0.0 < self.rtol < 1.0:
             raise ValidationError(f"rtol must lie in (0, 1), got {self.rtol}")
@@ -95,22 +73,13 @@ class SolverOptions:
                 f"gmres_restart must be >= 1, got {self.gmres_restart}"
             )
 
-    @property
-    def effective_backend(self) -> str:
-        """The backend name this configuration requests."""
-        return self.backend or _METHOD_BACKENDS[self.method]
-
 
 class LinearSolver:
-    """Front-end dispatching to the configured sparse-solver backend."""
+    """Front-end dispatching to the backend of ``options.method``."""
 
     def __init__(self, options: SolverOptions | None = None):
         self.options = options or SolverOptions()
-        #: The backend :meth:`solve` dispatches to: the configured one, or
-        #: its fallback when that is unavailable.
-        self.backend, self._requested = resolve_backend(
-            self.options.effective_backend
-        )
+        self.backend = BACKENDS[self.options.method]
         self.last_stats: SolveStats | None = None
 
     def solve(self, matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -120,16 +89,21 @@ class LinearSolver:
             raise ValidationError(
                 f"matrix of shape {matrix.shape} incompatible with rhs of size {rhs.size}"
             )
-        backend, requested = self.backend, self._requested
-        answered = backend
+        non_finite = int(np.count_nonzero(~np.isfinite(rhs)))
+        if non_finite:
+            raise ValidationError(
+                f"rhs has {non_finite} non-finite of {rhs.size} entries"
+            )
+        backend = self.backend
         try:
             # Each backend is a named fault site: an injected transient
-            # failure exercises the fallback chain below.
+            # failure exercises the failover below.
             faults.fault_point(f"fem.backends.{backend.name}")
             solution, stats = backend.solve(matrix, rhs, self.options)
         except faults.TransientFaultError as exc:
-            if backend.name == "direct-splu":
-                # Bottom of the chain: a one-off failure retries in place.
+            direct = BACKENDS["direct"]
+            if backend is direct:
+                # Nothing to fail over to: a one-off failure retries in place.
                 _logger.warning("solver: transient failure (%s); retrying", exc)
                 solution, stats = backend.solve(matrix, rhs, self.options)
             else:
@@ -139,12 +113,8 @@ class LinearSolver:
                     backend.name,
                     exc,
                 )
-                answered, _ = resolve_backend("direct-splu")
-                solution, stats = answered.solve(matrix, rhs, self.options)
-        if answered.name != requested:
-            # A different backend answered (unavailable at resolution time,
-            # or failed over mid-solve); record the substitution.
-            stats.method = f"{requested}->{stats.method}"
+                solution, stats = direct.solve(matrix, rhs, self.options)
+                stats.method = f"{backend.name}->{stats.method}"
         self.last_stats = stats
         return solution
 

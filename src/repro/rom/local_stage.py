@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
-from repro.fem.backends import get_backend
+from repro.fem.backends import BACKENDS
 from repro.fem.boundary import DirichletBC, split_system
 from repro.fem.elasticity import material_arrays_for_mesh
 from repro.geometry.unit_block import UnitBlockGeometry
@@ -215,7 +215,7 @@ class LocalStage:
         # whole-node triples and the node order expands to DoFs directly.
         node_order = mesh.nested_dissection(free_dofs[::3] // 3)
         dof_order = (3 * node_order[:, None] + np.arange(3)).ravel()
-        operator = get_backend("direct-splu").factorize(
+        operator = BACKENDS["direct"].factorize(
             split.a_ff, ordering=np.searchsorted(free_dofs, dof_order)
         )
 

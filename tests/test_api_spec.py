@@ -44,7 +44,7 @@ def array_spec() -> SimulationSpec:
             )
         ),
         mesh=MeshSpec(resolution="tiny", nodes_per_axis=(3, 3, 3), points_per_block=7),
-        solver=SolverSpec(backend="direct-splu", jobs=2),
+        solver=SolverSpec(method="direct", jobs=2),
         load_cases=(LoadCase(name="cooldown", delta_t=-250.0),),
     )
 
@@ -336,7 +336,7 @@ class TestBuildHelpers:
 
     def test_solver_spec_builds_options(self):
         options = array_spec().solver.build_options()
-        assert options.backend == "direct-splu"
+        assert options.method == "direct"
 
     def test_geometry_spec_builds_tsv(self):
         tsv = array_spec().geometry.build_tsv()
@@ -631,7 +631,8 @@ class TestSpecErrorTextIsPinned:
             ),
             pytest.param(
                 {"solver": {"backend": 2}},
-                "spec.solver.backend: expected a string, got 2",
+                "spec.solver.backend: the solver backend follows solver.method "
+                "('direct', 'cg' or 'gmres'), so only null is accepted, got 2",
                 id="solver.backend-type",
             ),
             pytest.param(
@@ -805,10 +806,28 @@ class TestSpecErrorTextIsPinned:
                 "(this build reads versions [1, 2, 3])",
                 id="spec.schema_version-float3",
             ),
+            pytest.param(
+                {"solver": {"backend": "direct-splu"}},
+                "spec.solver.backend: the solver backend follows solver.method "
+                "('direct', 'cg' or 'gmres'), so only null is accepted, got 'direct-splu'",
+                id="solver.backend-direct-splu",
+            ),
+            pytest.param(
+                {"solver": {"backend": "cholmod"}},
+                "spec.solver.backend: the solver backend follows solver.method "
+                "('direct', 'cg' or 'gmres'), so only null is accepted, got 'cholmod'",
+                id="solver.backend-cholmod",
+            ),
         ],
     )
     def test_error_text(self, document, message):
         assert _error(document) == message
+
+    def test_retired_backend_key_loads_null_or_missing(self):
+        document = SimulationSpec().to_dict()
+        assert document["solver"]["backend"] is None
+        del document["solver"]["backend"]
+        assert SimulationSpec.from_dict(document).spec_hash() == "6a067486eeebb4ddd598"
 
     @pytest.mark.parametrize(
         "name, expected",

@@ -81,12 +81,6 @@ class TestCLIParser:
 
 
 class TestCLISolverBackendAndJobs:
-    def test_info_lists_solver_backends(self, capsys):
-        assert main(["info"]) == 0
-        out = capsys.readouterr().out
-        assert "solver backends" in out
-        assert "direct-splu" in out and "cholmod" in out
-
     def test_simulate_with_jobs_and_backend(self, capsys):
         code = main(
             [
@@ -101,36 +95,17 @@ class TestCLISolverBackendAndJobs:
                 "5",
                 "--jobs",
                 "2",
-                "--solver-backend",
-                "direct",
             ]
         )
         assert code == 0
         assert "peak von Mises" in capsys.readouterr().out
 
-    def test_simulate_with_optional_backend_falls_back(self, capsys):
-        # cholmod/pyamg may be missing from the environment; the CLI must
-        # degrade gracefully rather than crash.
-        code = main(
-            [
-                "simulate",
-                "--rows",
-                "1",
-                "--resolution",
-                "tiny",
-                "--nodes",
-                "3",
-                "--points-per-block",
-                "5",
-                "--solver-backend",
-                "cholmod",
-            ]
-        )
-        assert code == 0
-
     def test_unknown_backend_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--solver-backend", "petsc"])
+        # The retired flag is a usage error: solver.method is the one solver choice.
+        for value in ("petsc", "direct-splu"):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--solver-backend", value])
+            assert exc.value.code == 2
 
     def test_invalid_jobs_rejected(self, capsys):
         code = main(

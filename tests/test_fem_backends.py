@@ -1,24 +1,18 @@
-"""Tests for the pluggable sparse-solver backends and their selection."""
+"""Tests for the sparse-solver backends and their selection by method."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro import faults
 from repro.fem.backends import (
-    BACKEND_ALIASES,
-    CholmodBackend,
+    BACKENDS,
     FactorizedOperator,
     JacobiCGBackend,
     JacobiGMRESBackend,
-    PyAMGBackend,
     _gmres,
     _jacobi_preconditioner,
-    available_backends,
-    backend_names,
-    canonical_backend_name,
-    get_backend,
-    resolve_backend,
 )
 from repro.errors import ValidationError
 from repro.fem.assembly import assemble_stiffness
@@ -38,63 +32,51 @@ def _spd_system(n: int = 40):
 
 class TestRegistry:
     def test_core_backends_registered(self):
-        names = backend_names()
-        for name in ("direct-splu", "cg", "gmres", "cholmod", "pyamg"):
-            assert name in names
+        names = {method: backend.name for method, backend in BACKENDS.items()}
+        assert names == {"direct": "direct-splu", "cg": "cg", "gmres": "gmres"}
 
     def test_direct_always_available(self):
-        assert "direct-splu" in available_backends()
-
-    def test_aliases_resolve_to_canonical_names(self):
-        for alias, canonical in BACKEND_ALIASES.items():
-            assert canonical_backend_name(alias) == canonical
+        # The failover target has nothing to fail over to: it retries in place.
+        matrix, rhs = _spd_system()
+        solver = LinearSolver(SolverOptions(method="direct"))
+        site = "fem.backends.direct-splu"
+        plan = faults.FaultPlan(rules=({"site": site, "kind": "transient"},))
+        with faults.injected_faults(plan):
+            solution = solver.solve(matrix, rhs)
+        assert plan.fired_counts() == {f"{site}:transient": 1}
+        assert np.allclose(matrix @ solution, rhs)
+        assert solver.last_stats.method == "direct-splu"
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValidationError, match="unknown solver backend"):
-            canonical_backend_name("petsc")
-        with pytest.raises(ValidationError):
-            get_backend("petsc")
-        with pytest.raises(ValidationError):
-            resolve_backend("petsc")
-
-    def test_get_backend_accepts_aliases(self):
-        assert get_backend("direct").name == "direct-splu"
-        assert get_backend("cg+jacobi").name == "cg"
+        for method in ("petsc", "direct-splu"):
+            with pytest.raises(ValidationError, match="method must be"):
+                SolverOptions(method=method)
 
 
 class TestFallback:
-    def test_unavailable_backend_falls_back_along_chain(self, monkeypatch):
-        monkeypatch.setattr(CholmodBackend, "is_available", classmethod(lambda cls: False))
-        backend, requested = resolve_backend("cholmod")
-        assert requested == "cholmod"
-        assert backend.name == "direct-splu"
-
-    def test_pyamg_falls_back_to_cg_first(self, monkeypatch):
-        monkeypatch.setattr(PyAMGBackend, "is_available", classmethod(lambda cls: False))
-        backend, requested = resolve_backend("pyamg")
-        assert requested == "pyamg"
-        assert backend.name == "cg"
-
     def test_available_backend_resolves_to_itself(self):
-        backend, requested = resolve_backend("direct-splu")
-        assert backend.name == requested == "direct-splu"
+        for method, backend in BACKENDS.items():
+            assert LinearSolver(SolverOptions(method=method)).backend is backend
 
-    def test_fallback_recorded_in_solve_stats(self, monkeypatch):
-        monkeypatch.setattr(CholmodBackend, "is_available", classmethod(lambda cls: False))
+    def test_fallback_recorded_in_solve_stats(self):
         matrix, rhs = _spd_system()
-        solver = LinearSolver(SolverOptions(backend="cholmod"))
-        solution = solver.solve(matrix, rhs)
+        solver = LinearSolver(SolverOptions(method="gmres"))
+        plan = faults.FaultPlan(rules=({"site": "fem.backends.gmres", "kind": "transient"},))
+        with faults.injected_faults(plan):
+            solution = solver.solve(matrix, rhs)
+        assert plan.fired_counts() == {"fem.backends.gmres:transient": 1}
         assert np.allclose(matrix @ solution, rhs)
-        assert solver.last_stats.method == "cholmod->direct-splu"
+        assert solver.last_stats.method == "gmres->direct-splu"
         assert solver.last_stats.converged
 
-    def test_iterative_fallback_label_preserved_through_substitution(self, monkeypatch):
-        monkeypatch.setattr(PyAMGBackend, "is_available", classmethod(lambda cls: False))
+    def test_iterative_fallback_label_preserved_through_substitution(self):
         matrix, rhs = _spd_system()
-        solver = LinearSolver(SolverOptions(backend="pyamg", rtol=1e-10))
-        solution = solver.solve(matrix, rhs)
+        solver = LinearSolver(SolverOptions(method="cg"))
+        plan = faults.FaultPlan(rules=({"site": "fem.backends.cg", "kind": "transient"},))
+        with faults.injected_faults(plan):
+            solution = solver.solve(matrix, rhs)
         assert np.allclose(matrix @ solution, rhs)
-        assert solver.last_stats.method.startswith("pyamg->cg")
+        assert solver.last_stats.method == "cg->direct-splu"
 
 
 class TestSolveStatsLabels:
@@ -105,35 +87,13 @@ class TestSolveStatsLabels:
         assert solver.last_stats.method == "direct-splu"
         assert solver.last_stats.iterations == 1
 
-    def test_explicit_backend_overrides_method(self):
-        matrix, rhs = _spd_system()
-        solver = LinearSolver(SolverOptions(method="gmres", backend="direct-splu"))
-        solver.solve(matrix, rhs)
-        assert solver.last_stats.method == "direct-splu"
-
     def test_cg_backend_label(self):
         matrix, rhs = _spd_system()
-        solver = LinearSolver(SolverOptions(backend="cg", rtol=1e-10))
+        solver = LinearSolver(SolverOptions(method="cg", rtol=1e-10))
         solution = solver.solve(matrix, rhs)
         assert np.allclose(matrix @ solution, rhs, atol=1e-6)
         assert solver.last_stats.method == "cg"
         assert solver.last_stats.iterations >= 1
-
-
-class TestSolverOptionsBackendField:
-    def test_backend_alias_normalized(self):
-        assert SolverOptions(backend="direct").backend == "direct-splu"
-        assert SolverOptions(backend="cg+jacobi").backend == "cg"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            SolverOptions(backend="petsc")
-
-    def test_effective_backend_derived_from_method(self):
-        assert SolverOptions(method="direct").effective_backend == "direct-splu"
-        assert SolverOptions(method="cg").effective_backend == "cg"
-        assert SolverOptions(method="gmres").effective_backend == "gmres"
-        assert SolverOptions(method="gmres", backend="cholmod").effective_backend == "cholmod"
 
 
 class TestFactorization:
@@ -178,8 +138,8 @@ class TestOrdering:
     def test_backends_pass_the_ordering_through(self):
         matrix, ordering, rng = _unsymmetric_system(seed=1)
         rhs = rng.normal(size=60)
-        for name in ("direct-splu", "cg", "gmres"):
-            operator = get_backend(name).factorize(matrix, ordering=ordering)
+        for backend in BACKENDS.values():
+            operator = backend.factorize(matrix, ordering=ordering)
             np.testing.assert_allclose(matrix @ operator.solve(rhs), rhs, atol=1e-10)
 
     def test_nested_dissection_fill_on_medium_block(self, materials, tsv_block):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import faults
 from repro.fem.assembly import assemble_stiffness, assemble_thermal_load
 from repro.fem.boundary import DirichletBC, reduce_system
 from repro.fem.fields import FieldEvaluator, von_mises
@@ -116,6 +117,23 @@ class TestLinearSolver:
         assert stats.method == "cg+direct-fallback"
         assert stats.converged
         np.testing.assert_allclose(matrix @ solution, rhs, atol=1e-8)
+
+    @pytest.mark.parametrize("method", ["direct", "cg", "gmres"])
+    def test_non_finite_rhs_rejected_before_any_backend_runs(self, method, monkeypatch):
+        """Solved, a NaN entry yields an all-NaN solution marked converged."""
+        matrix = sp.diags([-np.ones(49), 4.0 * np.ones(50), -np.ones(49)], (-1, 0, 1))
+        rhs = np.ones(50)
+        rhs[[3, 7]] = [np.nan, np.inf]
+        solver = LinearSolver(SolverOptions(method=method))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a backend ran on a non-finite rhs")
+
+        monkeypatch.setattr(type(solver.backend), "solve", forbidden)
+        monkeypatch.setattr(faults, "fault_point", forbidden)
+        with pytest.raises(ValidationError, match="rhs has 2 non-finite of 50 entries"):
+            solver.solve(matrix.tocsr(), rhs)
+        assert solver.last_stats is None
 
     def test_converged_iterative_stats_unchanged(self):
         matrix, rhs = _spd_system()
