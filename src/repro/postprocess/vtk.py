@@ -1,34 +1,32 @@
 """Legacy VTK export of :class:`~repro.postprocess.fields.ArrayField`.
 
-The legacy ASCII ``RECTILINEAR_GRID`` format is the lowest common denominator
+The legacy ``RECTILINEAR_GRID`` format is the lowest common denominator
 every visualization tool reads (ParaView, VisIt, PyVista, mayavi) without any
 optional dependency on our side.  Point data comprises the von Mises scalar,
 the displacement vector and the six Voigt stress components as scalars.
 
-Values are streamed in fixed blocks of rows, each formatted by one
-C-level ``%`` call and written in one ``write``; the text is byte-identical
-to ``np.savetxt(fmt="%.17g")``, which formats and writes row by row in Python.
+Files are written in the legacy ``BINARY`` mode: the header lines are ASCII
+text, and each coordinate and point-data array follows its header line as
+one block of big-endian IEEE doubles (``>f8``) and a ``"\\n"``.  Every value
+is stored bit for bit, and no float is formatted as text.
 
 A minimal reader is provided so exports can be validated in tests/CI without
-a VTK library; it reads exactly the subset the writer emits.
+a VTK library; it reads exactly the subset the writer emits, in the
+``BINARY`` mode and in the ``ASCII`` mode of files written before it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, BinaryIO
 
 import numpy as np
 
 from repro.postprocess.fields import VOIGT_COMPONENTS, ArrayField
 from repro.utils.validation import ValidationError
 
-#: Number formatting used for coordinates and point data (lossless for float64).
-_FMT = "%.17g"
-
-#: Rows formatted per ``%`` call and per ``write``: enough to amortize the
-#: per-call cost, few enough that one block's text stays small.
-_BLOCK_ROWS = 2048
+#: Byte order and width of every binary value: legacy VTK is big-endian.
+_BINARY_DTYPE = np.dtype(">f8")
 
 #: Title used when none is given; legacy VTK caps the header line at 256
 #: characters including its newline.
@@ -37,19 +35,17 @@ _MAX_TITLE_CHARS = 255
 
 
 def _flat_point_order(array: np.ndarray) -> np.ndarray:
-    """Reorder ``(nx, ny, nz, ...)`` point data to VTK's x-fastest flat order."""
+    """``(nx, ny, nz, ...)`` point data as a ``>f8`` copy in VTK's x-fastest order."""
     # VTK iterates x fastest, then y, then z; our arrays are indexed [x, y, z].
-    return np.ascontiguousarray(np.moveaxis(array, (0, 1, 2), (2, 1, 0))).reshape(
-        array.shape[0] * array.shape[1] * array.shape[2], -1
-    )
+    # One cast makes the reordered, byte-swapped, C-contiguous copy.
+    return np.moveaxis(array, (0, 1, 2), (2, 1, 0)).astype(_BINARY_DTYPE, order="C")
 
 
-def _write_rows(handle: TextIO, values: np.ndarray) -> None:
-    """Write a 2-D array exactly as ``np.savetxt(handle, values, fmt=_FMT)``."""
-    row = " ".join([_FMT] * values.shape[1]) + "\n"
-    for start in range(0, values.shape[0], _BLOCK_ROWS):
-        block = values[start : start + _BLOCK_ROWS]
-        handle.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+def _write_array(handle: BinaryIO, header: str, values: np.ndarray) -> None:
+    """Write the ``header`` lines, then the C-contiguous ``>f8`` ``values`` and a newline."""
+    handle.write(f"{header}\n".encode("ascii"))
+    handle.write(values)  # the array's own buffer: no bytes copy
+    handle.write(b"\n")
 
 
 def _header_title(title: str) -> str:
@@ -62,7 +58,7 @@ def _header_title(title: str) -> str:
 def write_vtk_rectilinear(
     path: str | Path, field: ArrayField, title: str = _DEFAULT_TITLE
 ) -> Path:
-    """Write an :class:`ArrayField` as a legacy ASCII VTK rectilinear grid.
+    """Write an :class:`ArrayField` as a legacy binary VTK rectilinear grid.
 
     Non-ASCII characters of ``title`` become ``?``, only its first line is
     kept and it is clipped to 255 characters.  If writing fails, the partial
@@ -76,56 +72,135 @@ def write_vtk_rectilinear(
     header_title = _header_title(title)
     # Export stream, not a durable artifact: the VTK file is a regenerable
     # visualization export (rebuilt from the .npz bundle at any time) whose
-    # size can reach hundreds of MB, so it is streamed in fixed row blocks
-    # instead of being buffered for an atomic rename.  Readers that need
-    # crash-safe artifacts use the checksummed .npz bundle next to it.
+    # size can reach hundreds of MB, so it is written array by array instead
+    # of being buffered for an atomic rename.  Readers that need crash-safe
+    # artifacts use the checksummed .npz bundle next to it.
     try:
-        # repro-lint: disable=REP001 -- export stream: regenerable visualization output, streamed to bound memory; the durable artifact is the .npz bundle
-        with path.open("w", encoding="ascii") as handle:
-            handle.write("# vtk DataFile Version 3.0\n")
-            handle.write(f"{header_title}\n")
-            handle.write("ASCII\n")
-            handle.write("DATASET RECTILINEAR_GRID\n")
-            handle.write(f"DIMENSIONS {nx} {ny} {nz}\n")
+        # repro-lint: disable=REP001 -- export stream: regenerable visualization output, written array by array to bound memory; the durable artifact is the .npz bundle
+        with path.open("wb") as handle:
+            handle.write(
+                f"# vtk DataFile Version 3.0\n{header_title}\nBINARY\n"
+                f"DATASET RECTILINEAR_GRID\nDIMENSIONS {nx} {ny} {nz}\n".encode("ascii")
+            )
             for name, coords in (("X", field.x), ("Y", field.y), ("Z", field.z)):
-                handle.write(f"{name}_COORDINATES {coords.size} double\n")
-                _write_rows(handle, coords[None, :])
-            handle.write(f"POINT_DATA {field.num_points}\n")
-            handle.write("SCALARS von_mises double 1\n")
-            handle.write("LOOKUP_TABLE default\n")
-            _write_rows(handle, _flat_point_order(field.von_mises))
-            handle.write("VECTORS displacement double\n")
-            _write_rows(handle, _flat_point_order(field.displacement))
+                _write_array(
+                    handle,
+                    f"{name}_COORDINATES {coords.size} double",
+                    np.ascontiguousarray(coords, dtype=_BINARY_DTYPE),
+                )
+            handle.write(f"POINT_DATA {field.num_points}\n".encode("ascii"))
+            _write_array(
+                handle,
+                "SCALARS von_mises double 1\nLOOKUP_TABLE default",
+                _flat_point_order(field.von_mises),
+            )
+            _write_array(
+                handle, "VECTORS displacement double", _flat_point_order(field.displacement)
+            )
             for index, component in enumerate(VOIGT_COMPONENTS):
-                handle.write(f"SCALARS stress_{component} double 1\n")
-                handle.write("LOOKUP_TABLE default\n")
-                _write_rows(handle, _flat_point_order(field.stress[..., index]))
+                _write_array(
+                    handle,
+                    f"SCALARS stress_{component} double 1\nLOOKUP_TABLE default",
+                    _flat_point_order(field.stress[..., index]),
+                )
     except BaseException:
         path.unlink(missing_ok=True)
         raise
     return path
 
 
-def _read_values(lines: list[str], start: int, count: int) -> tuple[np.ndarray, int]:
-    """Read ``count`` whitespace-separated floats starting at ``lines[start]``."""
-    values: list[float] = []
-    index = start
-    while len(values) < count:
-        if index >= len(lines):
-            raise ValidationError(
-                f"VTK file ended while reading values ({len(values)}/{count} read)"
+class _Cursor:
+    """Reads header lines and value blocks from a VTK file's bytes.
+
+    A ``BINARY`` payload can hold any byte, ``b"\\n"`` included, so the file
+    is never split into lines up front: each header line is found from the
+    current offset, and each payload is taken by its byte count.
+    """
+
+    def __init__(self, data: bytes, path: str | Path):
+        self.data = data
+        self.path = path
+        self.binary = False  # set once the mode line is read
+        self.offset = 0
+
+    def error(self, message: str) -> ValidationError:
+        return ValidationError(f"{self.path}: {message}")
+
+    def at_end(self) -> bool:
+        return self.offset >= len(self.data)
+
+    def raw_line(self, expected: str) -> bytes:
+        """The next line, without its newline; ``expected`` names it in errors."""
+        if self.at_end():
+            raise self.error(f"file ended where {expected} was expected")
+        end = self.data.find(b"\n", self.offset)
+        if end < 0:
+            end = len(self.data)
+        raw = self.data[self.offset : end]
+        self.offset = end + 1
+        return raw
+
+    def line(self, expected: str) -> str:
+        """:meth:`raw_line` as ASCII text."""
+        raw = self.raw_line(expected)
+        try:
+            return raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise self.error(f"non-ASCII bytes where {expected} was expected") from None
+
+    def keyword_line(self, keyword: str, num_tokens: int) -> list[str]:
+        """The next non-blank line's tokens; it must start with ``keyword``."""
+        tokens: list[str] = []
+        while not tokens:
+            tokens = self.line(keyword).split()
+        if tokens[0] != keyword or len(tokens) != num_tokens:
+            raise self.error(
+                f"expected {num_tokens} tokens starting with {keyword}, "
+                f"got {' '.join(tokens)!r}"
             )
-        values.extend(float(token) for token in lines[index].split())
-        index += 1
-    if len(values) != count:
-        raise ValidationError(
-            f"VTK value block has {len(values)} numbers, expected {count}"
-        )
-    return np.asarray(values, dtype=float), index
+        return tokens
+
+    def integer(self, token: str, what: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise self.error(f"{what} is not an integer: {token!r}") from None
+
+    def values(self, count: int, what: str) -> np.ndarray:
+        """The ``count`` float64 values of the block that holds ``what``."""
+        if self.binary:
+            end = self.offset + count * _BINARY_DTYPE.itemsize
+            if end > len(self.data):
+                raise self.error(
+                    f"binary {what} block is truncated: {len(self.data) - self.offset} "
+                    f"of {end - self.offset} bytes present"
+                )
+            values = np.frombuffer(self.data, _BINARY_DTYPE, count, self.offset)
+            self.offset = end
+            if self.data[end : end + 1] == b"\n":
+                self.offset += 1
+            return values.astype(np.float64)
+        tokens: list[str] = []
+        while len(tokens) < count:
+            if self.at_end():
+                raise self.error(
+                    f"file ended while reading {what} ({len(tokens)}/{count} values read)"
+                )
+            tokens.extend(self.line(what).split())
+        if len(tokens) != count:
+            raise self.error(f"{what} block has {len(tokens)} numbers, expected {count}")
+        try:
+            return np.array([float(token) for token in tokens])
+        except ValueError as error:
+            raise self.error(f"{what} holds a value that is not a number ({error})") from None
 
 
 def read_vtk_rectilinear(path: str | Path) -> dict[str, Any]:
     """Parse a legacy VTK rectilinear grid written by :func:`write_vtk_rectilinear`.
+
+    Both the ``BINARY`` mode the writer emits and the ``ASCII`` mode of
+    older exports are read; binary values come back bit for bit.  A
+    malformed or truncated file raises :class:`ValidationError`.
 
     Returns
     -------
@@ -135,63 +210,63 @@ def read_vtk_rectilinear(path: str | Path) -> dict[str, Any]:
         ``(nx, ny, nz)`` (scalars) or ``(nx, ny, nz, 3)`` (vectors) in this
         package's ``[x, y, z]`` index convention.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if len(lines) < 5 or not lines[0].startswith("# vtk DataFile"):
+    cursor = _Cursor(Path(path).read_bytes(), path)
+    if not cursor.data.startswith(b"# vtk DataFile"):
         raise ValidationError(f"{path} is not a legacy VTK file")
-    if lines[2].strip() != "ASCII":
-        raise ValidationError(f"only ASCII VTK files are supported, got {lines[2]!r}")
-    if lines[3].split() != ["DATASET", "RECTILINEAR_GRID"]:
-        raise ValidationError(f"expected a RECTILINEAR_GRID dataset, got {lines[3]!r}")
-    tokens = lines[4].split()
-    if len(tokens) != 4 or tokens[0] != "DIMENSIONS":
-        raise ValidationError(f"expected DIMENSIONS, got {lines[4]!r}")
-    nx, ny, nz = (int(token) for token in tokens[1:])
+    cursor.raw_line("the version line")
+    cursor.raw_line("the title line")
+    mode = cursor.line("ASCII or BINARY").strip()
+    if mode not in ("ASCII", "BINARY"):
+        raise cursor.error(f"expected ASCII or BINARY, got {mode!r}")
+    cursor.binary = mode == "BINARY"
+    dataset = cursor.line("DATASET RECTILINEAR_GRID").split()
+    if dataset != ["DATASET", "RECTILINEAR_GRID"]:
+        raise cursor.error(f"expected a RECTILINEAR_GRID dataset, got {' '.join(dataset)!r}")
+    tokens = cursor.keyword_line("DIMENSIONS", 4)
+    dimensions = tuple(cursor.integer(token, "DIMENSIONS") for token in tokens[1:])
+    if min(dimensions) < 1:
+        raise cursor.error(f"DIMENSIONS must be positive, got {dimensions}")
+    nx, ny, nz = dimensions
     num_points = nx * ny * nz
 
     coordinates: dict[str, np.ndarray] = {}
-    index = 5
     for axis, size in (("X", nx), ("Y", ny), ("Z", nz)):
-        header = lines[index].split()
-        if len(header) != 3 or header[0] != f"{axis}_COORDINATES":
-            raise ValidationError(
-                f"expected {axis}_COORDINATES, got {lines[index]!r}"
-            )
-        if int(header[1]) != size:
-            raise ValidationError(
-                f"{axis}_COORDINATES has {header[1]} entries, expected {size}"
-            )
-        coordinates[axis], index = _read_values(lines, index + 1, size)
+        keyword = f"{axis}_COORDINATES"
+        tokens = cursor.keyword_line(keyword, 3)
+        declared = cursor.integer(tokens[1], keyword)
+        if declared != size:
+            raise cursor.error(f"{keyword} has {declared} entries, expected {size}")
+        if tokens[2] != "double":
+            raise cursor.error(f"{keyword} must be double, got {tokens[2]!r}")
+        coordinates[axis] = cursor.values(size, keyword)
 
-    if index >= len(lines) or lines[index].split()[:1] != ["POINT_DATA"]:
-        raise ValidationError("expected a POINT_DATA section")
-    declared = int(lines[index].split()[1])
+    tokens = cursor.keyword_line("POINT_DATA", 2)
+    declared = cursor.integer(tokens[1], "POINT_DATA")
     if declared != num_points:
-        raise ValidationError(
+        raise cursor.error(
             f"POINT_DATA declares {declared} points, dimensions give {num_points}"
         )
-    index += 1
 
     point_data: dict[str, np.ndarray] = {}
-    while index < len(lines):
-        tokens = lines[index].split()
+    while not cursor.at_end():
+        tokens = cursor.line("a SCALARS or VECTORS section").split()
         if not tokens:
-            index += 1
             continue
-        if tokens[0] == "SCALARS":
-            name = tokens[1]
-            index += 1  # LOOKUP_TABLE line
-            if index >= len(lines) or not lines[index].startswith("LOOKUP_TABLE"):
-                raise ValidationError(f"SCALARS {name} is missing its LOOKUP_TABLE")
-            values, index = _read_values(lines, index + 1, num_points)
-            point_data[name] = values.reshape(nz, ny, nx).transpose(2, 1, 0)
-        elif tokens[0] == "VECTORS":
-            name = tokens[1]
-            values, index = _read_values(lines, index + 1, 3 * num_points)
-            point_data[name] = (
-                values.reshape(nz, ny, nx, 3).transpose(2, 1, 0, 3)
-            )
+        if tokens[0] == "SCALARS" and len(tokens) in (3, 4):
+            components = 1 if len(tokens) == 3 else cursor.integer(tokens[3], "SCALARS")
+            if components != 1:
+                raise cursor.error(f"SCALARS {tokens[1]} has {components} components")
+            cursor.keyword_line("LOOKUP_TABLE", 2)
+            shape: tuple[int, ...] = (nz, ny, nx)
+        elif tokens[0] == "VECTORS" and len(tokens) == 3:
+            shape = (nz, ny, nx, 3)
         else:
-            raise ValidationError(f"unsupported VTK point-data attribute {tokens[0]!r}")
+            raise cursor.error(f"unsupported VTK point-data section {' '.join(tokens)!r}")
+        name, kind = tokens[1], tokens[2]
+        if kind != "double":
+            raise cursor.error(f"{tokens[0]} {name} must be double, got {kind!r}")
+        values = cursor.values(int(np.prod(shape)), f"{tokens[0]} {name}")
+        point_data[name] = values.reshape(shape).transpose(2, 1, 0, *range(3, len(shape)))
 
     return {
         "dimensions": (nx, ny, nz),

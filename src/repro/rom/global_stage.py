@@ -138,9 +138,7 @@ class GlobalOperator(spla.LinearOperator):
             # DoFs share one trailing slot that gathers zero and whose sums
             # are dropped.
             size = self.free.size
-            position = np.full(self.num_global_dofs, size, dtype=np.int64)
-            position[self.free] = np.arange(size)
-            index = position[self.dofs]
+            index = self._free_position()[self.dofs]
         super().__init__(dtype=np.float64, shape=(size, size))
         # Blocks grouped by kind, so each kind is one dense product.
         present = [
@@ -150,6 +148,12 @@ class GlobalOperator(spla.LinearOperator):
         self._kind_dofs = [index[self.codes == code] for code in present]
         self._kind_stiffness = [self.element_stiffness[code] for code in present]
         self._scatter = np.concatenate([dofs.ravel() for dofs in self._kind_dofs])
+
+    def _free_position(self) -> np.ndarray:
+        """Position of every global DoF among :attr:`free`; ``free.size`` if eliminated."""
+        position = np.full(self.num_global_dofs, self.free.size, dtype=np.int64)
+        position[self.free] = np.arange(self.free.size)
+        return position
 
     @property
     def nnz(self) -> int:
@@ -200,15 +204,29 @@ class GlobalOperator(spla.LinearOperator):
     def tocsr(self) -> sp.csr_matrix:
         """The assembled sparse matrix: ``K``, or ``K[free][:, free]``.
 
-        Only direct solvers need it; iterative solves use ``@`` alone.
+        Only direct solvers need it; iterative solves use ``@`` alone.  With
+        :attr:`free` set, the full ``K`` is never built: only the free rows
+        of each block's element matrix become triplets, in :meth:`triplets`
+        order, and the eliminated columns are dropped once the duplicates
+        are summed.
         """
-        rows, cols, data = self.triplets()
-        size = self.num_global_dofs
-        matrix = sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
-        matrix.sum_duplicates()
         if self.free is None:
-            return matrix
-        return matrix[self.free][:, self.free].tocsr()
+            rows, cols, data = self.triplets()
+        else:
+            index = self._free_position()[self.dofs]
+            block, local = np.nonzero(index < self.shape[0])
+            rows = np.repeat(index[block, local], self.dofs.shape[1])
+            cols = self.dofs[block].ravel()
+            data = np.stack(self.element_stiffness)[self.codes[block], local].ravel()
+        matrix = sp.coo_matrix(
+            (data, (rows, cols)), shape=(self.shape[0], self.num_global_dofs)
+        ).tocsr()
+        # scipy sorts each row's column indices with an unstable sort before
+        # summing duplicates, so the order duplicates add up in depends on
+        # the whole row.  Dropping eliminated columns only afterwards keeps
+        # every row as in K, and K_ff bit-identical to K[free][:, free].
+        matrix.sum_duplicates()
+        return matrix if self.free is None else matrix[:, self.free].tocsr()
 
     def tocsc(self) -> sp.csc_matrix:
         """:meth:`tocsr` in CSC format (what SuperLU factorises)."""

@@ -21,7 +21,7 @@ from repro.api import (
     run,
 )
 from repro.postprocess import ArrayField, read_vtk_rectilinear
-from tests.test_postprocess import assert_round_off_equal, write_vtk_savetxt_oracle
+from tests.test_postprocess import assert_binary_vtk_matches, assert_round_off_equal
 
 
 def _output_spec(**output_kwargs) -> SimulationSpec:
@@ -134,17 +134,16 @@ class TestPersistenceAndExports:
         )
         assert_round_off_equal(restored.midplane_von_mises_flat(), reference)
 
-    def test_multi_case_save_matches_savetxt_oracle(self, output_result, tmp_path):
+    def test_multi_case_save_holds_every_field_bit_for_bit(self, output_result, tmp_path):
         directory = output_result.save(tmp_path / "results")
         exported = sorted((directory / "fields").glob("case*.vtk"))
         assert len(exported) == len(output_result.cases) == 2
         for path, case in zip(exported, output_result.cases):
-            oracle = write_vtk_savetxt_oracle(
-                tmp_path / f"oracle_{path.name}",
+            assert_binary_vtk_matches(
+                path,
                 case.field_data,
                 title=f"{output_result.spec.name}/{case.name} delta_t={case.delta_t:g}",
             )
-            assert path.read_bytes() == oracle.read_bytes(), path.name
 
     def test_load_round_trips_fields_and_manifest(self, output_result, tmp_path):
         directory = output_result.save(tmp_path / "results")

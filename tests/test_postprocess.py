@@ -1,5 +1,6 @@
 """Tests for the full-field post-processing subsystem (repro.postprocess)."""
 
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -126,6 +127,103 @@ def write_vtk_savetxt_oracle(
             handle.write("LOOKUP_TABLE default\n")
             np.savetxt(handle, flat(field.stress[..., index]), fmt="%.17g")
     return path
+
+
+def parse_binary_vtk(data: bytes) -> tuple[list[bytes], dict[str, np.ndarray]]:
+    """Independent parser of a ``BINARY`` legacy VTK file.
+
+    Returns the header lines (without their newlines) in file order and each
+    array's raw ``>f8`` payload by name (``X``, ``Y``, ``Z`` and the
+    point-data names), read at the byte offsets the headers give.  Every
+    payload must end with one newline, and nothing may follow the last one.
+    """
+    headers: list[bytes] = []
+    arrays: dict[str, np.ndarray] = {}
+    offset, num_points, name = 0, 0, ""
+
+    def next_words() -> list[bytes]:
+        nonlocal offset
+        end = data.index(b"\n", offset)
+        headers.append(data[offset:end])
+        offset = end + 1
+        return headers[-1].split()
+
+    for _ in range(5):  # version, title, mode, dataset, dimensions
+        next_words()
+    while offset < len(data):
+        words = next_words()
+        count = 0
+        if words[0] in (b"X_COORDINATES", b"Y_COORDINATES", b"Z_COORDINATES"):
+            name, count = words[0][:1].decode(), int(words[1])
+        elif words[0] == b"POINT_DATA":
+            num_points = int(words[1])
+        elif words[0] == b"SCALARS":
+            name = words[1].decode()
+        elif words[0] == b"LOOKUP_TABLE":
+            count = num_points
+        else:
+            assert words[0] == b"VECTORS", words
+            name, count = words[1].decode(), 3 * num_points
+        if count:
+            arrays[name] = np.frombuffer(data, ">f8", count, offset)
+            offset += 8 * count
+            assert data[offset : offset + 1] == b"\n", name
+            offset += 1
+    return headers, arrays
+
+
+def expected_vtk_headers(field: ArrayField, title: str) -> list[bytes]:
+    """The header lines of ``field``'s binary VTK export with header ``title``."""
+    nx, ny, nz = field.shape
+    lines = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "BINARY",
+        "DATASET RECTILINEAR_GRID",
+        f"DIMENSIONS {nx} {ny} {nz}",
+        f"X_COORDINATES {nx} double",
+        f"Y_COORDINATES {ny} double",
+        f"Z_COORDINATES {nz} double",
+        f"POINT_DATA {field.num_points}",
+        "SCALARS von_mises double 1",
+        "LOOKUP_TABLE default",
+        "VECTORS displacement double",
+    ]
+    for component in VOIGT_COMPONENTS:
+        lines += [f"SCALARS stress_{component} double 1", "LOOKUP_TABLE default"]
+    return [line.encode("ascii") for line in lines]
+
+
+def expected_vtk_arrays(field: ArrayField) -> dict[str, np.ndarray]:
+    """Every exported array of ``field`` flattened x fastest, as native doubles."""
+    arrays = {"X": field.x, "Y": field.y, "Z": field.z}
+    arrays["von_mises"] = field.von_mises.transpose(2, 1, 0).ravel()
+    arrays["displacement"] = field.displacement.transpose(2, 1, 0, 3).ravel()
+    for index, component in enumerate(VOIGT_COMPONENTS):
+        arrays[f"stress_{component}"] = field.stress[..., index].transpose(2, 1, 0).ravel()
+    return arrays
+
+
+def assert_binary_vtk_matches(path: Path, field: ArrayField, title: str) -> None:
+    """``path`` holds ``field`` bit for bit, under headers pinned byte for byte."""
+    data = path.read_bytes()
+    headers, arrays = parse_binary_vtk(data)
+    assert headers == expected_vtk_headers(field, title)
+    expected = expected_vtk_arrays(field)
+    assert list(arrays) == list(expected)
+    for name, values in expected.items():
+        assert arrays[name].tobytes() == np.asarray(values, dtype=">f8").tobytes(), name
+    num_values = sum(values.size for values in expected.values())
+    header_bytes = sum(len(line) + 1 for line in headers)
+    assert len(data) == header_bytes + 8 * num_values + len(expected)
+
+
+def assert_bits_equal(actual, expected) -> None:
+    """Equal float64 bit patterns: tells ``-0.0`` from ``0.0`` and NaNs apart."""
+    np.testing.assert_array_equal(
+        np.asarray(actual, dtype=np.float64).view(np.uint64),
+        np.asarray(expected, dtype=np.float64).view(np.uint64),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -341,14 +439,21 @@ class TestVTK:
             )
 
     def test_vtk_point_order_is_x_fastest(self, field_2x2, tmp_path):
-        # The VTK convention: x varies fastest.  The first two data values of
-        # the von_mises scalar are (x0, y0, z0) and (x1, y0, z0).
+        # The VTK convention: point i + nx * (j + ny * k) is (x_i, y_j, z_k),
+        # and a vector's three components are adjacent.
         path = write_vtk_rectilinear(tmp_path / "order.vtk", field_2x2)
-        lines = path.read_text().splitlines()
-        start = lines.index("LOOKUP_TABLE default") + 1
-        first, second = float(lines[start]), float(lines[start + 1])
-        assert first == field_2x2.von_mises[0, 0, 0]
-        assert second == field_2x2.von_mises[1, 0, 0]
+        _, arrays = parse_binary_vtk(path.read_bytes())
+        nx, ny, nz = field_2x2.shape
+        for k in range(nz):
+            for j in range(ny):
+                for i in range(nx):
+                    point = i + nx * (j + ny * k)
+                    assert arrays["von_mises"][point] == field_2x2.von_mises[i, j, k]
+                    for c in range(3):
+                        assert (
+                            arrays["displacement"][3 * point + c]
+                            == field_2x2.displacement[i, j, k, c]
+                        )
 
     def test_suffix_appended(self, field_2x2, tmp_path):
         path = write_vtk_rectilinear(tmp_path / "no_suffix", field_2x2)
@@ -364,17 +469,12 @@ class TestVTK:
         path = write_vtk_rectilinear(
             tmp_path / "umlaut.vtk", field_2x2, title="Wärme-sweep/abkühlen delta_t=-250"
         )
-        expected = write_vtk_savetxt_oracle(
-            tmp_path / "oracle.vtk", field_2x2, title="W?rme-sweep/abk?hlen delta_t=-250"
-        )
-        assert path.read_bytes() == expected.read_bytes()
+        assert_binary_vtk_matches(path, field_2x2, "W?rme-sweep/abk?hlen delta_t=-250")
 
     def test_long_title_clipped_to_header_limit(self, field_2x2, tmp_path):
-        title = "t" * 400
-        path = write_vtk_rectilinear(tmp_path / "long.vtk", field_2x2, title=title)
+        path = write_vtk_rectilinear(tmp_path / "long.vtk", field_2x2, title="t" * 400)
         assert path.read_bytes().split(b"\n")[1] == b"t" * 255
-        expected = write_vtk_savetxt_oracle(tmp_path / "oracle.vtk", field_2x2, title[:255])
-        assert path.read_bytes() == expected.read_bytes()
+        assert_binary_vtk_matches(path, field_2x2, "t" * 255)
 
     @pytest.mark.parametrize(
         ("title", "header"),
@@ -416,36 +516,153 @@ def _column_field(values: np.ndarray) -> ArrayField:
     )
 
 
-class TestVTKBytesMatchSavetxt:
-    """The block writer is byte-identical to the ``np.savetxt`` oracle."""
+class TestVTKBinaryLayout:
+    """Binary exports hold every array bit for bit under pinned headers."""
 
     SPECIAL = np.array(
         [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 3.0, -7.0, 0.1, 1 / 3]
     )
 
-    def _assert_matches(self, field, tmp_path, title="repro field export"):
-        written = write_vtk_rectilinear(tmp_path / "blocks.vtk", field, title=title)
-        oracle = write_vtk_savetxt_oracle(tmp_path / "oracle.vtk", field, title=title)
-        assert written.read_bytes() == oracle.read_bytes()
+    def test_header_bytes_pinned(self, tmp_path):
+        path = write_vtk_rectilinear(
+            tmp_path / "column.vtk", _column_field(np.arange(3.0)), title="sweep/c0 delta_t=-250"
+        )
+        data = path.read_bytes()
+        headers = [line + b"\n" for line in parse_binary_vtk(data)[0]]
+        assert b"".join(headers[:6]) == (
+            b"# vtk DataFile Version 3.0\n"
+            b"sweep/c0 delta_t=-250\n"
+            b"BINARY\n"
+            b"DATASET RECTILINEAR_GRID\n"
+            b"DIMENSIONS 1 1 3\n"
+            b"X_COORDINATES 1 double\n"
+        )
+        assert data.startswith(b"".join(headers[:6]) + struct.pack(">d", -0.0) + b"\n")
+        assert b"".join(headers[6:]) == (
+            b"Y_COORDINATES 1 double\n"
+            b"Z_COORDINATES 3 double\n"
+            b"POINT_DATA 3\n"
+            b"SCALARS von_mises double 1\nLOOKUP_TABLE default\n"
+            b"VECTORS displacement double\n"
+            b"SCALARS stress_xx double 1\nLOOKUP_TABLE default\n"
+            b"SCALARS stress_yy double 1\nLOOKUP_TABLE default\n"
+            b"SCALARS stress_zz double 1\nLOOKUP_TABLE default\n"
+            b"SCALARS stress_yz double 1\nLOOKUP_TABLE default\n"
+            b"SCALARS stress_xz double 1\nLOOKUP_TABLE default\n"
+            b"SCALARS stress_xy double 1\nLOOKUP_TABLE default\n"
+        )
+        assert data.endswith(b"LOOKUP_TABLE default\n" + struct.pack(">3d", 0.0, 6.0, 12.0) + b"\n")
 
     def test_special_values(self, tmp_path):
         field = _column_field(self.SPECIAL)
-        self._assert_matches(field, tmp_path)
-        text = (tmp_path / "blocks.vtk").read_text()
-        for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "3", "-7"):
-            assert f"\n{token}\n" in text, token
+        path = write_vtk_rectilinear(tmp_path / "special.vtk", field)
+        assert_binary_vtk_matches(path, field, "repro field export")
+        parsed = read_vtk_rectilinear(path)
+        assert_bits_equal(parsed["point_data"]["von_mises"], field.von_mises)
+        assert_bits_equal(parsed["point_data"]["displacement"], field.displacement)
+        assert_bits_equal(parsed["coordinates"][0], field.x)  # -0.0
+        assert_bits_equal(parsed["coordinates"][1], field.y)  # 1e300
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_block_boundaries(self, tmp_path, offset):
-        count = vtk_module._BLOCK_ROWS + offset
+    @pytest.mark.parametrize("count", [2047, 2048, 2049])
+    def test_sizes(self, tmp_path, count):
         rng = np.random.default_rng(count)
         values = rng.standard_normal(count) * 10.0 ** rng.integers(-12, 12, count)
         values[: self.SPECIAL.size] = self.SPECIAL
         values[-self.SPECIAL.size :] = self.SPECIAL
-        self._assert_matches(_column_field(values), tmp_path)
+        field = _column_field(values)
+        path = write_vtk_rectilinear(tmp_path / "sizes.vtk", field)
+        assert_binary_vtk_matches(path, field, "repro field export")
+        parsed = read_vtk_rectilinear(path)
+        for index, component in enumerate(VOIGT_COMPONENTS):
+            assert_bits_equal(parsed["point_data"][f"stress_{component}"], field.stress[..., index])
 
     def test_reconstructed_field(self, field_2x2, tmp_path):
-        self._assert_matches(field_2x2, tmp_path, title="output-run/cooldown delta_t=-250")
+        title = "output-run/cooldown delta_t=-250"
+        path = write_vtk_rectilinear(tmp_path / "field.vtk", field_2x2, title=title)
+        assert_binary_vtk_matches(path, field_2x2, title)
+
+
+class TestVTKReadsLegacyASCII:
+    """ASCII exports of the ``np.savetxt`` writer still load, bit for bit."""
+
+    def test_reconstructed_field(self, field_2x2, tmp_path):
+        path = write_vtk_savetxt_oracle(tmp_path / "ascii.vtk", field_2x2)
+        parsed = read_vtk_rectilinear(path)
+        for axis, coords in zip((field_2x2.x, field_2x2.y, field_2x2.z), parsed["coordinates"]):
+            assert_bits_equal(coords, axis)
+        assert_bits_equal(parsed["point_data"]["von_mises"], field_2x2.von_mises)
+        assert_bits_equal(parsed["point_data"]["displacement"], field_2x2.displacement)
+        for index, component in enumerate(VOIGT_COMPONENTS):
+            assert_bits_equal(
+                parsed["point_data"][f"stress_{component}"], field_2x2.stress[..., index]
+            )
+
+    def test_special_values(self, tmp_path):
+        # "%.17g" writes every NaN as "nan", so only the NaNs' bits are not kept.
+        values = TestVTKBinaryLayout.SPECIAL
+        field = _column_field(values)
+        path = write_vtk_savetxt_oracle(tmp_path / "ascii.vtk", field)
+        parsed = read_vtk_rectilinear(path)
+        finite = ~np.isnan(values)
+        assert_bits_equal(parsed["point_data"]["von_mises"].ravel()[finite], values[finite])
+        assert np.isnan(parsed["point_data"]["von_mises"].ravel()[~finite]).all()
+        assert_bits_equal(parsed["coordinates"][0], field.x)
+        assert_bits_equal(parsed["coordinates"][1], field.y)
+
+
+class TestVTKReaderRejectsMalformedFiles:
+    """Every malformed file is a :class:`ValidationError` naming the problem."""
+
+    @staticmethod
+    def _export(tmp_path, mode: str) -> bytes:
+        field = _column_field(np.array([1.0, 2.0, 3.0]))
+        if mode == "ASCII":
+            return write_vtk_savetxt_oracle(tmp_path / "ascii.vtk", field).read_bytes()
+        return write_vtk_rectilinear(tmp_path / "binary.vtk", field).read_bytes()
+
+    @staticmethod
+    def _read(tmp_path, data: bytes, match: str) -> None:
+        path = tmp_path / "malformed.vtk"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=match):
+            read_vtk_rectilinear(path)
+
+    def test_non_numeric_value_token(self, tmp_path):
+        data = self._export(tmp_path, "ASCII")
+        data = data.replace(b"LOOKUP_TABLE default\n1\n", b"LOOKUP_TABLE default\nabc\n", 1)
+        self._read(tmp_path, data, "SCALARS von_mises holds a value that is not a number")
+
+    @pytest.mark.parametrize("mode", ["ASCII", "BINARY"])
+    def test_non_integer_dimension(self, tmp_path, mode):
+        data = self._export(tmp_path, mode).replace(b"DIMENSIONS 1 1 3", b"DIMENSIONS 1 x 1")
+        self._read(tmp_path, data, "DIMENSIONS is not an integer: 'x'")
+
+    @pytest.mark.parametrize("mode", ["ASCII", "BINARY"])
+    @pytest.mark.parametrize("dimensions", [b"-1 1 1", b"1 0 3"])
+    def test_non_positive_dimension(self, tmp_path, mode, dimensions):
+        data = self._export(tmp_path, mode).replace(b"1 1 3", dimensions, 1)
+        self._read(tmp_path, data, "DIMENSIONS must be positive")
+
+    @pytest.mark.parametrize("mode", ["ASCII", "BINARY"])
+    def test_file_ends_after_dimensions(self, tmp_path, mode):
+        data = self._export(tmp_path, mode)
+        data = data[: data.index(b"X_COORDINATES")]
+        self._read(tmp_path, data, "file ended where X_COORDINATES was expected")
+
+    @pytest.mark.parametrize("mode", ["ASCII", "BINARY"])
+    def test_point_data_without_count(self, tmp_path, mode):
+        data = self._export(tmp_path, mode).replace(b"POINT_DATA 3", b"POINT_DATA")
+        self._read(tmp_path, data, "starting with POINT_DATA, got 'POINT_DATA'")
+
+    @pytest.mark.parametrize(
+        "section",
+        [b"X_COORDINATES 1 double\n", b"LOOKUP_TABLE default\n"],
+        ids=["first-coordinates", "last-point-data"],
+    )
+    def test_truncated_binary_payload(self, tmp_path, section):
+        data = self._export(tmp_path, "BINARY")
+        cut = data.rindex(section) + len(section) + 5
+        self._read(tmp_path, data[:cut], "block is truncated: 5 of (8|24) bytes present")
 
 
 def _synthetic_field() -> ArrayField:

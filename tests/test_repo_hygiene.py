@@ -87,7 +87,8 @@ class TestAllocationTracingStaysOffTheHotPath:
 
 class TestNoPerRowTextWriters:
     """``np.savetxt`` formats and writes one row per Python call; exports
-    stream through :mod:`repro.postprocess.vtk`'s block writer instead."""
+    write each array as one binary block through :mod:`repro.postprocess.vtk`
+    instead."""
 
     def test_no_module_calls_savetxt(self):
         offenders = []

@@ -251,6 +251,23 @@ class TestGlobalOperator:
         np.testing.assert_allclose(reduced @ x, a_ff @ x, rtol=1e-12)
         np.testing.assert_allclose(reduced.diagonal(), a_ff.diagonal(), rtol=1e-12)
 
+    @pytest.mark.parametrize("bc_name", ["clamped", "submodel"])
+    def test_eliminated_csr_bit_identical_to_slice_of_full_matrix(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, bc_name
+    ):
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
+        operator, rhs, manager = stage.assemble(layout, DELTA_T)
+        if bc_name == "clamped":
+            bc = stage.clamped_top_bottom_bc(manager)
+        else:
+            field = _boundary_conditions(manager)["submodel"][1]
+            bc = stage.prescribed_boundary_bc(manager, field)
+        reduced, _ = operator.apply_dirichlet(rhs, bc)
+        expected = operator.tocsr()[reduced.free][:, reduced.free].tocsr()
+        actual = reduced.tocsr()
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name))
+
 
 def _boundary_conditions(manager):
     """Clamped, explicit non-zero and sub-model boundary conditions."""
