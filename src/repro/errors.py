@@ -72,13 +72,6 @@ class SpecError(ValidationError):
     http_status = 400
 
 
-class BackendError(ValidationError):
-    """An unknown solver/array backend, or no usable fallback for one."""
-
-    code = "backend_unavailable"
-    http_status = 400
-
-
 class CorruptArtifactError(ReproError):
     """A persisted artifact (bundle, record, checkpoint) failed verification.
 
@@ -172,7 +165,6 @@ ERROR_CLASSES_BY_CODE: dict[str, type[ReproError]] = {
         ReproError,
         ValidationError,
         SpecError,
-        BackendError,
         CorruptArtifactError,
         JobError,
         JobNotFoundError,
@@ -235,7 +227,6 @@ __all__ = [
     "ReproError",
     "ValidationError",
     "SpecError",
-    "BackendError",
     "CorruptArtifactError",
     "JobError",
     "JobNotFoundError",

@@ -15,12 +15,16 @@ global stage sets up the array-level "abstract" finite element problem:
 
 Every block of one kind shares one dense element matrix, so the global
 stiffness is kept matrix-free as a :class:`GlobalOperator`: ``K @ u`` is a
-gather of the block DoFs, one dense product per block kind and a scatter-add.
-Its storage is one ``n x n`` matrix per kind plus the block DoF map, so GMRES
-and CG solves need O(DoFs) memory.  :meth:`GlobalOperator.apply_dirichlet`
-returns ``K_ff`` as another such operator; direct solvers factorise its
-assembled :meth:`GlobalOperator.tocsc`, built from COO triplets in the exact
-order of a per-block assembly loop (the tests keep that loop as an oracle).
+gather of the block DoFs, one dense product per group of blocks and one
+scatter-add.  Its storage is one ``n x n`` matrix per kind plus the block DoF
+map, so GMRES and CG solves need O(DoFs) memory.
+:meth:`GlobalOperator.apply_dirichlet` returns ``K_ff`` as another such
+operator.  Its groups are the blocks of one kind with the same free-DoF
+pattern, each with the free rows and columns of its kind's matrix, so
+``K_ff @ u`` touches free DoFs only: on a clamped (3,3,3) array, 24 of a
+block's 78.  Direct solvers factorise its assembled
+:meth:`GlobalOperator.tocsc`, built from COO triplets in the exact order of a
+per-block assembly loop (the tests keep that loop as an oracle).
 
 :meth:`GlobalStage.solve_many` is the one solve: it assembles a layout, builds
 ``K_ff`` once and solves it for each thermal load (and, for sub-models, each
@@ -98,8 +102,16 @@ class GlobalOperator(spla.LinearOperator):
 
     Every block of one kind has the same abstract element stiffness, so the
     operator stores one dense ``n x n`` matrix per kind plus the block DoF
-    map.  ``K @ x`` gathers ``x`` at every block's DoFs, applies one dense
-    product per kind and scatter-adds the results with ``np.bincount``.
+    map.  ``K @ x`` gathers ``x`` at the block DoFs, applies one dense
+    product per group of blocks and scatter-adds the results with one
+    ``np.bincount``.
+
+    A group is the blocks of one kind, or, with ``free`` set, the blocks of
+    one kind whose DoFs are free at the same positions.  Each group keeps
+    only its free rows and columns of the element matrix, so an eliminated
+    DoF is never gathered, multiplied or summed.  A clamped layout has one
+    group per kind; a sub-model layout, whose outer ring is prescribed, at
+    most nine (interior, four edges, four corners).
 
     Parameters
     ----------
@@ -111,8 +123,8 @@ class GlobalOperator(spla.LinearOperator):
         ``(num_blocks, n)`` global DoF ids of every block, as returned by
         :meth:`GlobalDofManager.all_block_dof_ids`.
     free:
-        Sorted global DoFs the operator acts on, or ``None`` for all of
-        them.  With ``free`` set it is the block ``K_ff`` of the stiffness
+        Sorted, unique global DoFs the operator acts on, or ``None`` for all
+        of them.  With ``free`` set it is the block ``K_ff`` of the stiffness
         matrix on those DoFs, whose other rows and columns are eliminated
         (see :meth:`apply_dirichlet`).
     """
@@ -130,24 +142,66 @@ class GlobalOperator(spla.LinearOperator):
         self.codes = np.asarray(codes, dtype=np.int64)
         self.dofs = np.asarray(dofs, dtype=np.int64)
         self.free = None if free is None else np.asarray(free, dtype=np.int64)
+        self._check_blocks()
         self.num_global_dofs = int(self.dofs.max()) + 1
         if self.free is None:
-            size, index = self.num_global_dofs, self.dofs
+            size = self.num_global_dofs
+            groups = [
+                (self.dofs[self.codes == code], matrix)
+                for code, matrix in enumerate(self.element_stiffness)
+            ]
         else:
-            # Position of every global DoF among the free ones; eliminated
-            # DoFs share one trailing slot that gathers zero and whose sums
-            # are dropped.
+            self._check_free()
             size = self.free.size
-            index = self._free_position()[self.dofs]
+            groups = self._free_groups()
         super().__init__(dtype=np.float64, shape=(size, size))
-        # Blocks grouped by kind, so each kind is one dense product.
-        present = [
-            code for code in range(len(self.element_stiffness))
-            if np.any(self.codes == code)
-        ]
-        self._kind_dofs = [index[self.codes == code] for code in present]
-        self._kind_stiffness = [self.element_stiffness[code] for code in present]
-        self._scatter = np.concatenate([dofs.ravel() for dofs in self._kind_dofs])
+        # (positions of the group's DoFs, its element matrix) per group that
+        # has any; the products are scattered in this order.  There is no
+        # group at all when every DoF is eliminated, hence the empty tails.
+        self._groups = [(index, matrix) for index, matrix in groups if index.size]
+        self._scatter = np.concatenate(
+            [index.ravel() for index, _ in self._groups] + [np.empty(0, np.int64)]
+        )
+
+    def _check_blocks(self) -> None:
+        if self.dofs.ndim != 2 or self.dofs.size == 0:
+            raise ValidationError(
+                f"dofs must be a non-empty (num_blocks, n) array, got shape {self.dofs.shape}"
+            )
+        num_blocks, n = self.dofs.shape
+        for code, matrix in enumerate(self.element_stiffness):
+            if matrix.shape != (n, n):
+                raise ValidationError(
+                    f"element stiffness {code} has shape {matrix.shape}, but "
+                    f"blocks have {n} DoFs"
+                )
+        if self.codes.shape != (num_blocks,):
+            raise ValidationError(
+                f"codes has shape {self.codes.shape}, expected ({num_blocks},)"
+            )
+        unknown = (self.codes < 0) | (self.codes >= len(self.element_stiffness))
+        if unknown.any():
+            raise ValidationError(
+                f"block {int(np.argmax(unknown))} has kind code "
+                f"{int(self.codes[unknown][0])} with no element stiffness "
+                f"(there are {len(self.element_stiffness)})"
+            )
+
+    def _check_free(self) -> None:
+        free = self.free
+        if free.ndim != 1:
+            raise ValidationError(f"free must be 1-D, got shape {free.shape}")
+        steps = np.diff(free)
+        if np.any(steps == 0):
+            duplicate = free[1:][steps == 0][0]
+            raise ValidationError(f"free must be unique, DoF {duplicate} repeats")
+        if np.any(steps < 0):
+            raise ValidationError("free must be sorted in increasing order")
+        if free.size and (free[0] < 0 or free[-1] >= self.num_global_dofs):
+            raise ValidationError(
+                f"free DoFs must lie in [0, {self.num_global_dofs}), got "
+                f"{free[0] if free[0] < 0 else free[-1]}"
+            )
 
     def _free_position(self) -> np.ndarray:
         """Position of every global DoF among :attr:`free`; ``free.size`` if eliminated."""
@@ -155,34 +209,51 @@ class GlobalOperator(spla.LinearOperator):
         position[self.free] = np.arange(self.free.size)
         return position
 
+    def _free_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Blocks grouped by kind and free-DoF pattern, with their compressed matrices."""
+        index = self._free_position()[self.dofs]
+        is_free = index < self.free.size
+        # One byte string per block: its kind code, then its free mask as bits.
+        keys = np.concatenate(
+            [
+                self.codes.astype("<i8").view(np.uint8).reshape(-1, 8),
+                np.packbits(is_free, axis=1),
+            ],
+            axis=1,
+        )
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        # The blocks of each group, in block order.
+        members = np.split(
+            np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1]
+        )
+        groups = []
+        for block, blocks in zip(first, members):
+            mask = is_free[block]
+            matrix = self.element_stiffness[self.codes[block]][np.ix_(mask, mask)]
+            groups.append((index[blocks][:, mask], matrix))
+        return groups
+
     @property
     def nnz(self) -> int:
         """Number of stored matrix entries: ``n * n`` per block kind."""
         return sum(matrix.size for matrix in self.element_stiffness)
 
-    def _scatter_add(self, weights: np.ndarray) -> np.ndarray:
-        summed = np.bincount(self._scatter, weights=weights, minlength=self.shape[0])
-        return summed[: self.shape[0]]
+    def _scatter_add(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Sum per-group ``(blocks, k)`` values into the operator's rows."""
+        weights = np.concatenate([part.ravel() for part in parts] + [np.empty(0)])
+        return np.bincount(self._scatter, weights=weights, minlength=self.shape[0])
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.ravel(x)
-        if self.free is not None:
-            x = np.append(x, 0.0)  # the eliminated DoFs' slot
-        products = [
-            (x[dofs] @ stiffness.T).ravel()
-            for dofs, stiffness in zip(self._kind_dofs, self._kind_stiffness)
-        ]
-        return self._scatter_add(np.concatenate(products))
+        return self._scatter_add(
+            [x[index] @ matrix.T for index, matrix in self._groups]
+        )
 
     def diagonal(self) -> np.ndarray:
-        """Main diagonal, summed from the per-kind element diagonals."""
+        """Main diagonal, summed from the per-group element diagonals."""
         return self._scatter_add(
-            np.concatenate(
-                [
-                    np.broadcast_to(np.diag(stiffness), dofs.shape).ravel()
-                    for dofs, stiffness in zip(self._kind_dofs, self._kind_stiffness)
-                ]
-            )
+            [np.broadcast_to(np.diag(matrix), index.shape) for index, matrix in self._groups]
         )
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,12 +328,16 @@ class GlobalOperator(spla.LinearOperator):
 
         ``g`` holds the prescribed values at ``bc.dofs`` and is zero
         elsewhere; ``free`` are the other DoFs, in order.  Cases that
-        constrain the same DoFs share ``K_ff`` and differ only here.
+        constrain the same DoFs share ``K_ff`` and differ only here.  A
+        homogeneous ``bc`` (``g = 0``, a clamped array) skips the product.
         """
-        prescribed = np.zeros(self.num_global_dofs)
-        prescribed[bc.dofs] = bc.values
+        rhs = np.asarray(rhs, dtype=float)
+        if np.any(bc.values):
+            prescribed = np.zeros(self.num_global_dofs)
+            prescribed[bc.dofs] = bc.values
+            rhs = rhs - self @ prescribed
         # bc.dofs is sorted and unique, so deleting it keeps the free DoFs.
-        return np.delete(np.asarray(rhs, dtype=float) - self @ prescribed, bc.dofs)
+        return np.delete(rhs, bc.dofs)
 
 
 @dataclass

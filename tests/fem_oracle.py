@@ -3,9 +3,11 @@
 These are the loops the package used before its hot paths were batched:
 
 * the per-element hex8 kernels and the per-group fine-mesh assembly (one
-  4-operand ``einsum`` per ``(dx, dy, dz, material)`` group), and
+  4-operand ``einsum`` per ``(dx, dy, dz, material)`` group),
 * the per-node dict numbering of the global interpolation nodes and the
-  per-block scatter of the global stage's abstract element matrices.
+  per-block scatter of the global stage's abstract element matrices, and
+* the full-width block product of the matrix-free global operator, which
+  multiplies every DoF of every block, eliminated ones included.
 
 They are kept here, outside ``src/``, only so tests and benchmarks can
 assert that the batched paths reproduce them bit for bit.
@@ -168,3 +170,26 @@ def oracle_global_assemble(roms, layout, delta_t):
     matrix = sp.coo_matrix((data, (rows, cols)), shape=(num_dofs, num_dofs)).tocsr()
     matrix.sum_duplicates()
     return matrix, rhs, node_keys
+
+
+def oracle_block_matvec(element_stiffness, codes, dofs, x):
+    """``K @ x`` over every DoF of every block: the full-width block product.
+
+    Gathers ``x`` at all ``n`` DoFs of each block, multiplies each kind's
+    blocks by its whole ``n x n`` element matrix (kinds in code order) and
+    sums the products into the global DoFs with one ``np.bincount``.
+    """
+    codes = np.asarray(codes)
+    dofs = np.asarray(dofs)
+    x = np.asarray(x, dtype=float)
+    present = [code for code in range(len(element_stiffness)) if np.any(codes == code)]
+    index = [dofs[codes == code] for code in present]
+    products = [
+        (x[block_dofs] @ element_stiffness[code].T).ravel()
+        for code, block_dofs in zip(present, index)
+    ]
+    return np.bincount(
+        np.concatenate([block_dofs.ravel() for block_dofs in index]),
+        weights=np.concatenate(products),
+        minlength=int(dofs.max()) + 1,
+    )

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import (
     ERROR_CLASSES_BY_CODE,
-    BackendError,
     CircuitOpenError,
     CorruptArtifactError,
     JobCancelledError,
@@ -42,7 +41,6 @@ class TestTaxonomy:
         # Historical call sites say `except ValueError` — keep them working.
         assert issubclass(ValidationError, ValueError)
         assert issubclass(SpecError, ValueError)
-        assert issubclass(BackendError, ValueError)
 
     def test_job_errors_are_not_value_errors(self):
         assert not issubclass(JobError, ValueError)
@@ -52,7 +50,6 @@ class TestTaxonomy:
             "internal_error": ReproError,
             "validation_error": ValidationError,
             "invalid_spec": SpecError,
-            "backend_unavailable": BackendError,
             "job_error": JobError,
             "job_not_found": JobNotFoundError,
             "job_state": JobStateError,
@@ -68,7 +65,6 @@ class TestTaxonomy:
 
     def test_http_status_mapping(self):
         assert http_status_for(SpecError("x")) == 400
-        assert http_status_for(BackendError("x")) == 400
         assert http_status_for(JobNotFoundError("x")) == 404
         assert http_status_for(JobStateError("x")) == 409
         assert http_status_for(SpecConflictError("x")) == 409
@@ -147,6 +143,21 @@ class TestErrorEnvelope:
         )
         assert type(rebuilt) is ReproError
         assert rebuilt.detail["code"] == "from_the_future"
+
+    def test_retired_backend_unavailable_code_degrades_to_base(self):
+        # An older server may still send the code of the removed BackendError.
+        rebuilt = error_from_envelope(
+            {
+                "error": {
+                    "code": "backend_unavailable",
+                    "message": "no such backend",
+                    "detail": {"backend": "cholmod"},
+                }
+            }
+        )
+        assert type(rebuilt) is ReproError
+        assert rebuilt.message == "no such backend"
+        assert rebuilt.detail == {"code": "backend_unavailable", "detail": {"backend": "cholmod"}}
 
     def test_malformed_envelope_degrades_gracefully(self):
         rebuilt = error_from_envelope({"nonsense": True})

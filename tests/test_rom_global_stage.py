@@ -15,7 +15,11 @@ from repro.rom.global_dofs import GlobalDofManager
 from repro.rom.global_stage import GlobalOperator, GlobalStage
 from repro.rom.reconstruction import BlockFieldSampler, block_midplane_points
 from repro.utils.validation import ValidationError
-from tests.fem_oracle import oracle_global_assemble, oracle_global_numbering
+from tests.fem_oracle import (
+    oracle_block_matvec,
+    oracle_global_assemble,
+    oracle_global_numbering,
+)
 
 DELTA_T = -250.0
 
@@ -267,6 +271,162 @@ class TestGlobalOperator:
         actual = reduced.tocsr()
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_free_sets_match_reduce_system(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, seed
+    ):
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
+        operator, rhs, _ = stage.assemble(layout, DELTA_T)
+        rng = np.random.default_rng(seed)
+        is_free = rng.random(operator.num_global_dofs) < 0.5
+        # Corner blocks 0 and 15 share no node: one loses every DoF, the
+        # other keeps all of them.
+        is_free[operator.dofs[0]] = False
+        is_free[operator.dofs[-1]] = True
+        reduced = GlobalOperator(
+            operator.element_stiffness,
+            operator.codes,
+            operator.dofs,
+            free=np.flatnonzero(is_free),
+        )
+        # Block 15's group keeps the whole element matrix.
+        sizes = {matrix.shape[0] for _, matrix in reduced._groups}
+        assert operator.dofs.shape[1] in sizes
+        a_ff, _, _ = reduce_system(
+            operator.tocsr(), rhs, DirichletBC.fixed(np.flatnonzero(~is_free))
+        )
+        x = rng.normal(size=(reduced.shape[0], 2))
+        for column in x.T:
+            np.testing.assert_allclose(reduced @ column, a_ff @ column, rtol=1e-12)
+        np.testing.assert_allclose(reduced @ x, a_ff @ x, rtol=1e-12)
+        np.testing.assert_allclose(reduced.diagonal(), a_ff.diagonal(), rtol=1e-12)
+
+    @pytest.mark.parametrize("bc_name", ["clamped", "submodel"])
+    def test_one_group_per_kind_and_free_pattern(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, bc_name
+    ):
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
+        operator, rhs, manager = stage.assemble(layout, DELTA_T)
+        if bc_name == "clamped":
+            bc = stage.clamped_top_bottom_bc(manager)
+        else:
+            field = _boundary_conditions(manager)["submodel"][1]
+            bc = stage.prescribed_boundary_bc(manager, field)
+        reduced, _ = operator.apply_dirichlet(rhs, bc)
+        is_free = np.ones(operator.num_global_dofs, dtype=bool)
+        is_free[bc.dofs] = False
+        # Blocks with no free DoF form no group.
+        patterns = {
+            (int(code), tuple(is_free[block_dofs]))
+            for code, block_dofs in zip(operator.codes, operator.dofs)
+            if is_free[block_dofs].any()
+        }
+        assert len(reduced._groups) == len(patterns)
+        per_kind = [
+            sum(pattern_code == code for pattern_code, _ in patterns)
+            for code in np.unique(operator.codes)
+        ]
+        if bc_name == "clamped":
+            assert per_kind == [1, 1]
+            # The 8 middle-layer surface nodes of a (3,3,3) block.
+            assert all(matrix.shape == (24, 24) for _, matrix in reduced._groups)
+        else:
+            assert max(per_kind) <= 9
+
+    def test_full_operator_products_bit_identical_to_block_oracle(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, monkeypatch
+    ):
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
+        assembled, _, _ = stage.assemble(layout, DELTA_T)
+        args = (assembled.element_stiffness, assembled.codes, assembled.dofs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the full operator must not group by free pattern")
+
+        monkeypatch.setattr(np, "unique", forbidden)
+        operator = GlobalOperator(*args)
+        monkeypatch.undo()
+        x = np.random.default_rng(3).normal(size=(operator.shape[0], 2))
+        for column in x.T:
+            np.testing.assert_array_equal(
+                operator @ column, oracle_block_matvec(*args, column)
+            )
+        products = operator @ x
+        for k, column in enumerate(x.T):
+            np.testing.assert_array_equal(
+                products[:, k], oracle_block_matvec(*args, column)
+            )
+
+
+class TestGlobalOperatorValidation:
+    """Malformed operator inputs are ``ValidationError``s, not wrong numbers."""
+
+    @pytest.fixture
+    def parts(self, rom_tsv_tiny, materials, tsv15):
+        stage = GlobalStage({BlockKind.TSV: rom_tsv_tiny}, materials)
+        operator, _, _ = stage.assemble(TSVArrayLayout.full(tsv15, rows=2), DELTA_T)
+        return operator.element_stiffness, operator.codes, operator.dofs
+
+    def test_every_dof_eliminated_gives_an_empty_operator(self, parts):
+        operator = GlobalOperator(*parts, free=np.empty(0, dtype=np.int64))
+        assert operator.shape == (0, 0)
+        assert (operator @ np.empty(0)).shape == (0,)
+        assert operator.diagonal().shape == (0,)
+
+    def test_duplicated_free_entry_rejected(self, parts):
+        with pytest.raises(ValidationError, match="unique"):
+            GlobalOperator(*parts, free=[1, 1, 2, 6])
+
+    def test_unsorted_free_rejected(self, parts):
+        with pytest.raises(ValidationError, match="sorted"):
+            GlobalOperator(*parts, free=[2, 1, 6])
+
+    def test_negative_free_entry_rejected(self, parts):
+        with pytest.raises(ValidationError, match=r"lie in \[0, \d+\), got -1"):
+            GlobalOperator(*parts, free=[-1, 2, 6])
+
+    def test_out_of_range_free_entry_rejected(self, parts):
+        size = int(parts[2].max()) + 1
+        with pytest.raises(ValidationError, match=f"\\[0, {size}\\)"):
+            GlobalOperator(*parts, free=[1, size])
+
+    @pytest.mark.parametrize("code", [1, -1])
+    def test_code_without_element_matrix_rejected(self, parts, code):
+        stiffness, codes, dofs = parts
+        codes = codes.copy()
+        codes[2] = code
+        with pytest.raises(ValidationError, match="block 2 has kind code"):
+            GlobalOperator(stiffness, codes, dofs)
+
+    def test_dofs_width_must_match_element_matrix(self, parts):
+        stiffness, codes, dofs = parts
+        with pytest.raises(ValidationError, match="blocks have 77 DoFs"):
+            GlobalOperator(stiffness, codes, dofs[:, :-1])
+
+    def test_one_code_per_block(self, parts):
+        stiffness, codes, dofs = parts
+        with pytest.raises(ValidationError, match="codes has shape"):
+            GlobalOperator(stiffness, codes[:-1], dofs)
+
+
+class TestEliminate:
+    """The reduced right-hand side ``(f - K g)[free]``."""
+
+    def test_homogeneous_bc_skips_the_product(
+        self, rom_tsv_tiny, rom_dummy_tiny, materials, monkeypatch
+    ):
+        stage, layout = _ring_stage(rom_tsv_tiny, rom_dummy_tiny, materials)
+        operator, rhs, manager = stage.assemble(layout, DELTA_T)
+        bc = stage.clamped_top_bottom_bc(manager)
+        prescribed = np.zeros(operator.num_global_dofs)
+        expected = np.delete(rhs - operator @ prescribed, bc.dofs)
+
+        def forbidden(self, x):
+            raise AssertionError("K @ g with g = 0")
+
+        monkeypatch.setattr(GlobalOperator, "_matvec", forbidden)
+        np.testing.assert_array_equal(operator.eliminate(rhs, bc), expected)
 
 
 def _boundary_conditions(manager):
