@@ -27,9 +27,9 @@ from repro.api.spec import (
     ResolvedCase,
     SimulationSpec,
     SolverSpec,
-    SpecError,
     SubModelSpec,
 )
+from repro.errors import SpecError
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -26,8 +26,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
 from repro.geometry.array_layout import TSVArrayLayout
 from repro.materials.library import MaterialLibrary
 from repro.materials.temperature import ThermalLoad
@@ -39,12 +37,7 @@ from repro.rom.cache import ROMCache
 from repro.rom.global_stage import GlobalStage
 from repro.utils.logging import get_logger
 from repro.utils.memory import peak_rss_bytes
-from repro.utils.serialization import (
-    load_npz_bundle,
-    quarantine_file,
-    save_npz_bundle,
-)
-from repro.utils.timing import StageTimings, Timer
+from repro.utils.timing import Timer
 from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -125,140 +118,6 @@ def _group_cases(
     return list(groups.items())
 
 
-def _group_checkpoint_path(directory: Path, group_index: int) -> Path:
-    return directory / f"group{group_index}.npz"
-
-
-def _save_group_checkpoint(
-    directory: Path,
-    group_index: int,
-    spec_hash: str,
-    members: "list[tuple[int, ResolvedCase]]",
-    results: "list[SimulationResult]",
-) -> None:
-    """Persist one solved group's displacements + diagnostics atomically.
-
-    A marker that cannot be written (full disk, read-only directory) only
-    costs the resume capability, never the run — hence the broad guard.
-    """
-    arrays = {
-        f"u_{index}": result.solution.nodal_displacement
-        for index, result in enumerate(results)
-    }
-    metadata = {
-        "spec_hash": spec_hash,
-        "group": group_index,
-        "cases": [
-            {"name": case.name, "delta_t": case.delta_t} for _, case in members
-        ],
-        "results": [
-            {
-                "local_stage_seconds": result.local_stage_seconds,
-                "global_stage_seconds": result.global_stage_seconds,
-                "peak_memory_bytes": result.peak_memory_bytes,
-                "solver_stats": (
-                    None
-                    if result.solution.solver_stats is None
-                    else vars(result.solution.solver_stats)
-                ),
-            }
-            for result in results
-        ],
-    }
-    path = _group_checkpoint_path(directory, group_index)
-    try:
-        # save_npz_bundle is itself atomic + fsync'd and embeds a checksum
-        # the restore path verifies; "executor.checkpoint" is this write's
-        # fault-injection site.
-        save_npz_bundle(
-            path, arrays, metadata=metadata, fault_site="executor.checkpoint"
-        )
-    except OSError as exc:
-        _logger.warning("executor: could not write checkpoint %s (%s)", path, exc)
-
-
-def _restore_group_checkpoint(
-    directory: Path,
-    group_index: int,
-    spec_hash: str,
-    members: "list[tuple[int, ResolvedCase]]",
-    simulator: "MoreStressSimulator",
-    layout: TSVArrayLayout,
-) -> "list[SimulationResult] | None":
-    """Rebuild a group's results from its completion marker, or ``None``.
-
-    Any mismatch (different spec, different member cases, stale DoF count)
-    or unreadable bundle degrades to a fresh solve — a checkpoint can speed
-    a resume up but never change its result.
-    """
-    from repro.fem.backends import SolveStats
-    from repro.rom.global_dofs import GlobalDofManager
-    from repro.rom.global_stage import GlobalSolution
-    from repro.rom.workflow import SimulationResult
-
-    path = _group_checkpoint_path(directory, group_index)
-    if not path.exists():
-        return None
-    try:
-        arrays, metadata = load_npz_bundle(path)
-    except Exception as exc:
-        # Torn or corrupt marker (kill -9 mid-write, bit rot): quarantine it
-        # so the corruption stays observable, then re-solve the group.
-        _logger.warning(
-            "executor: corrupt checkpoint %s (%s); quarantining and re-solving",
-            path.name,
-            exc,
-        )
-        quarantine_file(path, f"checkpoint failed to load: {exc}")
-        return None
-    expected_cases = [
-        {"name": case.name, "delta_t": case.delta_t} for _, case in members
-    ]
-    if (
-        metadata.get("spec_hash") != spec_hash
-        or metadata.get("cases") != expected_cases
-    ):
-        _logger.warning("executor: stale checkpoint %s; re-solving", path)
-        return None
-    infos = metadata.get("results") or []
-    if len(infos) != len(members):
-        return None
-    include_dummy = layout.num_dummy_blocks > 0
-    roms = simulator.build_roms(include_dummy=include_dummy)
-    manager = GlobalDofManager(layout, simulator.scheme)
-    results: "list[SimulationResult]" = []
-    for index, ((_, case), info) in enumerate(zip(members, infos)):
-        u = arrays.get(f"u_{index}")
-        if u is None or u.shape != (manager.num_global_dofs,):
-            _logger.warning("executor: stale checkpoint %s; re-solving", path)
-            return None
-        stats_info = info.get("solver_stats")
-        try:
-            stats = None if stats_info is None else SolveStats(**stats_info)
-        except TypeError:
-            return None
-        solution = GlobalSolution(
-            layout=layout,
-            roms=roms,
-            materials=simulator.materials,
-            manager=manager,
-            nodal_displacement=np.asarray(u, dtype=float),
-            delta_t=case.delta_t,
-            timings=StageTimings(),
-            solver_stats=stats,
-        )
-        results.append(
-            SimulationResult(
-                solution=solution,
-                local_stage_seconds=float(info.get("local_stage_seconds", 0.0)),
-                global_stage_seconds=float(info.get("global_stage_seconds", 0.0)),
-                peak_memory_bytes=int(info.get("peak_memory_bytes", 0)),
-            )
-        )
-    _logger.info("executor: resumed group %d from %s", group_index, path)
-    return results
-
-
 def build_simulator(
     spec: SimulationSpec,
     *,
@@ -294,7 +153,6 @@ def run(
     jobs: int | None = None,
     coarse_solution: "CoarsePackageSolution | None" = None,
     progress: Callable[[int, int, str], None] | None = None,
-    checkpoint_dir: "str | Path | None" = None,
 ) -> RunResult:
     """Execute a :class:`SimulationSpec` and return its :class:`RunResult`.
 
@@ -325,14 +183,6 @@ def run(
         The job service threads its status updates — and cooperative
         cancellation/timeout, which raise from inside the callback — through
         here; an exception raised by the callback aborts the run.
-    checkpoint_dir:
-        Optional directory of per-group completion markers.  Each solved
-        case group writes one atomically-renamed ``groupN.npz`` there; a
-        re-run of the same spec with the same ``checkpoint_dir`` skips the
-        already-solved groups (a killed long sweep resumes instead of
-        restarting).  Markers from a different spec, or stale ones, are
-        ignored and re-solved — resuming can never change the result.  The
-        caller owns cleanup of the directory after a successful run.
     """
     from repro.baselines.coarse_model import CoarseChipletModel
     from repro.geometry.package import ChipletPackage
@@ -365,16 +215,12 @@ def run(
 
     cases = spec.resolved_cases()
     groups = _group_cases(cases)
-    spec_hash = spec.spec_hash()
     _logger.info(
         "executor: %d case(s) in %d group(s) [spec %s]",
         len(cases),
         len(groups),
-        spec_hash,
+        spec.spec_hash(),
     )
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     case_results: list[CaseResult | None] = [None] * len(cases)
     for group_index, ((rows, cols, location), members) in enumerate(groups):
@@ -397,24 +243,13 @@ def run(
                 coarse_for(case.delta_t).displacement_field() for _, case in members
             ]
 
-        delta_ts = [case.delta_t for _, case in members]
-        results = None
-        if checkpoint_dir is not None:
-            results = _restore_group_checkpoint(
-                checkpoint_dir, group_index, spec_hash, members, simulator, layout
-            )
-        if results is None:
-            results = execute_cases(
-                simulator,
-                layout,
-                delta_ts,
-                boundary=boundary,
-                displacement_fields=displacement_fields,
-            )
-            if checkpoint_dir is not None:
-                _save_group_checkpoint(
-                    checkpoint_dir, group_index, spec_hash, members, results
-                )
+        results = execute_cases(
+            simulator,
+            layout,
+            [case.delta_t for _, case in members],
+            boundary=boundary,
+            displacement_fields=displacement_fields,
+        )
         for (case_index, case), result in zip(members, results):
             stats = result.solution.solver_stats
             field_data = None

@@ -24,8 +24,8 @@ from repro.api.spec import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
     SimulationSpec,
-    SpecError,
 )
+from repro.errors import SpecError
 from repro.postprocess.fields import ArrayField
 from repro.postprocess.hotspots import HotspotReport
 from repro.utils.serialization import (
@@ -73,9 +73,9 @@ class CaseResult:
     peak_memory_bytes:
         Process peak RSS (``ru_maxrss``) at the end of the case group's
         global stage, in bytes.  It is the process-wide high-water mark, not
-        an amount attributable to this case alone.  Manifests and executor
-        checkpoints written before this meaning was adopted carry the
-        global stage's peak ``tracemalloc`` bytes in the same field.
+        an amount attributable to this case alone.  Manifests written before
+        this meaning was adopted carry the global stage's peak
+        ``tracemalloc`` bytes in the same field.
     solver_method:
         The solver backend that answered this case's solve (from
         :class:`SolveStats`), e.g. ``"gmres"``, ``"direct-splu"``, or

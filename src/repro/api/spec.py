@@ -37,8 +37,6 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import Any, Callable, Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
-# Deprecated alias: SpecError now lives in the unified exception taxonomy
-# (repro.errors); importing it from here keeps working.
 from repro.errors import SpecError
 from repro.fem.solver import SolverOptions
 from repro.geometry.package import ChipletPackage
@@ -735,7 +733,6 @@ __all__ = [
     "KNOWN_MATERIAL_ROLES",
     "KNOWN_OUTPUT_FORMATS",
     "KNOWN_SUBMODEL_LOCATIONS",
-    "SpecError",
     "GeometrySpec",
     "MaterialOverride",
     "MaterialsSpec",

@@ -81,14 +81,10 @@ def _scenario_rules(name: str) -> list[dict[str, Any]]:
             {"site": "service.jobs.persist", "kind": "torn_write",
              "probability": 0.25, "max_triggers": 4},
             {"site": "rom_cache.put", "kind": "torn_write", "nth": 1},
-            {"site": "executor.checkpoint", "kind": "torn_write",
-             "probability": 0.5, "max_triggers": 2},
         ]
     if name == "enospc":
         return [
             {"site": "rom_cache.put", "kind": "enospc", "nth": 1},
-            {"site": "executor.checkpoint", "kind": "enospc",
-             "probability": 0.5, "max_triggers": 2},
             {"site": "service.jobs.persist", "kind": "eio",
              "probability": 0.1, "max_triggers": 2},
         ]
@@ -112,8 +108,8 @@ def _scenario_rules(name: str) -> list[dict[str, Any]]:
 
 #: Scenario name -> one-line description (the registry the CLI exposes).
 SCENARIOS: dict[str, str] = {
-    "torn-write": "truncated bytes at job-record, cache and checkpoint writes",
-    "enospc": "ENOSPC/EIO at cache, checkpoint and job-record writes",
+    "torn-write": "truncated bytes at job-record and cache writes",
+    "enospc": "ENOSPC/EIO at cache and job-record writes",
     "worker-crash": "worker dies at attempt start; retry budget absorbs it",
     "worker-hang": "worker hangs mid-job; the watchdog reaps and re-queues",
     "solver-transient": "sparse solves fail transiently; fallback absorbs it",

@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -65,11 +64,10 @@ from repro.api import (
     RunResult,
     SimulationSpec,
     SolverSpec,
-    SpecError,
     run as run_simulation_spec,
 )
 from repro.api.envelope import wrap
-from repro.errors import ReproError, error_envelope
+from repro.errors import ReproError, SpecError, error_envelope
 from repro.lint import (
     Baseline,
     DEFAULT_BASELINE_NAME,
@@ -812,15 +810,7 @@ def _command_run(args: argparse.Namespace) -> int:
         return 2
     if args.export_field and spec.output is None:
         spec = dataclasses.replace(spec, output=OutputSpec())
-    # With --save the run checkpoints per case group under the destination,
-    # so re-running a killed sweep with the same flags resumes mid-spec.
-    checkpoint_dir = Path(args.save) / "checkpoint" if args.save else None
-    result = run_simulation_spec(
-        spec,
-        rom_cache=args.rom_cache,
-        jobs=args.jobs,
-        checkpoint_dir=checkpoint_dir,
-    )
+    result = run_simulation_spec(spec, rom_cache=args.rom_cache, jobs=args.jobs)
     json_mode = args.json_path == "-"
     if not json_mode:
         print(f"spec              : {spec.name} ({result.spec_hash})")
@@ -831,9 +821,6 @@ def _command_run(args: argparse.Namespace) -> int:
         print(f"manifest          : {args.json_path}")
     if args.save:
         result.save(args.save)
-        if checkpoint_dir is not None:
-            # The saved result supersedes the resume markers.
-            shutil.rmtree(checkpoint_dir, ignore_errors=True)
         if not json_mode:
             print(f"full result       : {args.save}")
     if args.export_field:

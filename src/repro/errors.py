@@ -73,7 +73,7 @@ class SpecError(ValidationError):
 
 
 class CorruptArtifactError(ReproError):
-    """A persisted artifact (bundle, record, checkpoint) failed verification.
+    """A persisted artifact (bundle, record, manifest) failed verification.
 
     Raised when a checksum embedded by the serialization layer does not match
     the bytes read back — a torn write, bit rot, or a partially synced file

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for the durability/liveness layers.
 
 Long-running ROM services fail in ways unit tests never exercise on their
-own: a torn write surfacing after a power loss, ``ENOSPC`` mid-checkpoint, a
+own: a torn write surfacing after a power loss, ``ENOSPC`` mid-write, a
 worker thread hung inside a sparse factorisation, a flaky solver backend.
 This module makes those failures *first-class and reproducible*: a
 :class:`FaultPlan` is a seeded list of :class:`FaultRule`\\ s, each matching a
@@ -22,7 +22,6 @@ Fault sites wired through the package:
 ``serialization.save_npz``      generic ``.npz`` bundle writes
 ``rom_cache.put``               ROM bundle writes into the shared cache
 ``service.jobs.persist``        per-job JSON records of the :class:`JobStore`
-``executor.checkpoint``         per-group resume markers of long sweeps
 ``service.pool.worker``         worker behaviour at attempt start
 ``fem.backends.<name>``         sparse solves through a named backend
 ==============================  =============================================

@@ -10,10 +10,14 @@ persisted as the standard ``save``/``load`` ``.npz`` bundles under that key.
 
 Wired into :class:`~repro.rom.local_stage.LocalStage` (``cache=`` parameter),
 :class:`~repro.rom.workflow.MoreStressSimulator` and :func:`repro.api.run`
-(``rom_cache=``), a warm cache turns the local stage into a single file load,
-which is where the speedup of parameter sweeps over arrays, thermal loads and
-package locations compounds (cf. Jia & Cheng on reusable reduced thermal
-models).
+(``rom_cache=``), a warm cache turns the local stage into a lookup, which is
+where the speedup of parameter sweeps over arrays, thermal loads and package
+locations compounds (cf. Jia & Cheng on reusable reduced thermal models).
+Each cache instance also keeps the last few ROMs it loaded and verified in
+memory, so a long-lived holder of one instance (the job service) pays the
+file load once per bundle: while the bundle file is unchanged, a warm ``get``
+is a ``stat`` and a dict lookup that returns the same read-only ROM, with the
+field samplers it carries (:meth:`ReducedOrderModel.field_sampler`).
 
 Example
 -------
@@ -33,6 +37,7 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +52,33 @@ from repro.utils.serialization import quarantine_file
 from repro.utils.validation import ValidationError
 
 _logger = get_logger("rom.cache")
+
+#: Loaded ROMs each cache instance keeps in memory.
+_MEMO_SIZE = 8
+#: A loaded bundle is memoized only once its ctime is this much older than
+#: the ``stat`` that fingerprinted it.  File timestamps may advance in clock
+#: ticks of up to 10 ms, so a write within the tick of that ``stat`` could
+#: keep the ctime the memo compares.
+_SETTLED_NS = 20_000_000
+#: A hit refreshes the bundle's LRU atime at most this often.  The touch
+#: changes the ctime, so each one costs the next gets a reload.
+_TOUCH_NS = 1_000_000_000
+
+
+def _set_read_only(rom: ReducedOrderModel) -> None:
+    """Freeze the arrays of a ROM that every holder of the cache shares."""
+    mesh = rom.mesh
+    for array in (
+        rom.basis,
+        rom.element_stiffness,
+        rom.element_load,
+        rom.thermal_coupling,
+        mesh.xs,
+        mesh.ys,
+        mesh.zs,
+        mesh.element_tags,
+    ):
+        array.setflags(write=False)
 
 
 def rom_cache_key(
@@ -96,16 +128,16 @@ class ROMCache:
     max_bytes:
         Optional size cap.  When the bundles exceed it after a write, the
         least-recently-used entries are evicted until the cache fits again.
-        Recency is the bundle's atime: a write sets it and every hit touches
-        it, while mtime changes only when a bundle is rewritten.  ``None``
-        (the default) never evicts.  Eviction is multi-process-safe: a
+        Recency is the bundle's atime: a write sets it and a hit touches it
+        (at most once a second), while mtime changes only when a bundle is
+        rewritten.  ``None`` (the default) never evicts.  Eviction is multi-process-safe: a
         concurrent reader of an evicted bundle degrades to a miss and
         rebuilds.  Bundles are stored uncompressed, about 2-5x the size of
         the deflated bundles written before (10.8 MB for a ``medium`` (4,4,4)
         ROM), so a given cap holds that many fewer entries.
     hits, misses, evictions, evicted_bytes, quarantined, put_errors:
-        Lookup/eviction/health statistics of this cache instance.  Counter
-        updates are serialised by an internal lock so one cache instance can
+        Lookup/eviction/health statistics of this cache instance (a memo hit
+        counts as a hit).  Counter updates are serialised by an internal lock so one cache instance can
         back many concurrent readers (the job service shares a single
         process-wide cache across its worker pool); :meth:`stats` takes one
         consistent snapshot of the counters.  ``quarantined`` counts corrupt
@@ -136,6 +168,13 @@ class ROMCache:
                     f"max_bytes must be positive or None, got {self.max_bytes}"
                 )
         self._stats_lock = threading.Lock()
+        # Bundle path -> (fingerprint, ROM) of the last verified loads, most
+        # recently used last.  Only a load fills it, never ``put``: a torn
+        # write then still surfaces on the next read.
+        self._memo: OrderedDict[Path, tuple[tuple[int, ...], ReducedOrderModel]] = (
+            OrderedDict()
+        )
+        self._memo_lock = threading.Lock()
 
     def _record(self, hit: bool) -> None:
         with self._stats_lock:
@@ -248,39 +287,68 @@ class ROMCache:
         scheme: InterpolationScheme,
         materials: MaterialLibrary,
     ) -> ReducedOrderModel | None:
-        """Return the cached ROM for a configuration, or ``None`` on a miss."""
+        """Return the cached ROM for a configuration, or ``None`` on a miss.
+
+        The ROM's arrays are read-only.  While the bundle file keeps its
+        inode, size, mtime and ctime, repeated calls return the same ROM
+        without reading the file; any rewrite, eviction or quarantine makes
+        the next call load and verify the bundle again.
+        """
         path = self.path_for(block, resolution, scheme, materials)
-        if not path.exists():
-            self._record(hit=False)
-            return None
+        now = time.time_ns()
         try:
-            rom = ReducedOrderModel.load(path)
-        except Exception as exc:
-            # A corrupt or truncated bundle (e.g. a torn write surfacing
-            # after a crash) must degrade to a rebuild, not break every warm
-            # run.  The bad bundle is quarantined — not silently shadowed —
-            # so operators can see and inspect the corruption.
-            _logger.warning(
-                "ROM cache: corrupt bundle %s (%s: %s); quarantining and "
-                "treating as a miss",
-                path.name,
-                type(exc).__name__,
-                exc,
-            )
-            quarantine_file(path, f"rom cache bundle failed to load: {exc}")
-            with self._stats_lock:
-                self.quarantined += 1
+            stat = path.stat()
+        except OSError:
+            with self._memo_lock:
+                self._memo.pop(path, None)
             self._record(hit=False)
             return None
+        fingerprint = (stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
+        with self._memo_lock:
+            # A stale entry is dropped before the reload, so the two copies
+            # of the ROM are not held at once.
+            entry = self._memo.pop(path, None)
+            if entry is not None and entry[0] == fingerprint:
+                self._memo[path] = entry  # most recently used last
+                rom = entry[1]
+            else:
+                rom = None
+        if rom is None:
+            try:
+                rom = ReducedOrderModel.load(path)
+            except Exception as exc:
+                # A corrupt or truncated bundle (e.g. a torn write surfacing
+                # after a crash) must degrade to a rebuild, not break every
+                # warm run.  The bad bundle is quarantined — not silently
+                # shadowed — so operators can see and inspect the corruption.
+                _logger.warning(
+                    "ROM cache: corrupt bundle %s (%s: %s); quarantining and "
+                    "treating as a miss",
+                    path.name,
+                    type(exc).__name__,
+                    exc,
+                )
+                quarantine_file(path, f"rom cache bundle failed to load: {exc}")
+                with self._stats_lock:
+                    self.quarantined += 1
+                self._record(hit=False)
+                return None
+            _set_read_only(rom)
+            if now - stat.st_ctime_ns >= _SETTLED_NS:
+                with self._memo_lock:
+                    self._memo[path] = (fingerprint, rom)
+                    while len(self._memo) > _MEMO_SIZE:
+                        self._memo.popitem(last=False)
         rom.check_materials(materials)
         self._record(hit=True)
-        try:
-            # LRU touch in atime only: mtime is part of the fingerprint that
-            # memoizes the bundle's digest check, so it changes only when the
-            # bundle is rewritten.
-            os.utime(path, ns=(time.time_ns(), path.stat().st_mtime_ns))
-        except OSError:
-            pass  # evicted or pruned concurrently; the ROM is already loaded
+        if now - stat.st_atime_ns >= _TOUCH_NS:
+            try:
+                # LRU touch in atime only: mtime is part of the fingerprint
+                # that memoizes the bundle's digest check, so it changes only
+                # when the bundle is rewritten.
+                os.utime(path, ns=(now, path.stat().st_mtime_ns))
+            except OSError:
+                pass  # evicted or pruned concurrently; the ROM is already loaded
         _logger.info("ROM cache hit: %s", path.name)
         return rom
 
@@ -364,6 +432,8 @@ class ROMCache:
     def clear(self) -> int:
         """Delete all cached bundles; returns the number of files removed."""
         removed = 0
+        with self._memo_lock:
+            self._memo.clear()
         directory = Path(self.directory)
         if directory.is_dir():
             for path in directory.glob("rom_*.npz"):

@@ -51,7 +51,6 @@ from repro.fem.solver import LinearSolver, SolveStats, SolverOptions
 from repro.geometry.array_layout import BlockKind, TSVArrayLayout
 from repro.materials.library import MaterialLibrary
 from repro.rom.global_dofs import GlobalDofManager
-from repro.rom.reconstruction import BlockFieldSampler, block_volume_points
 from repro.rom.rom_model import ReducedOrderModel
 from repro.utils.logging import get_logger
 from repro.utils.timing import StageTimings
@@ -534,8 +533,6 @@ class GlobalStage:
 
         solver = LinearSolver(self.solver_options)
         solutions = []
-        # The cases share the ROMs, so they share the sampling operators too.
-        sampling_operators: dict = {}
         for delta_t, rhs_f, bc in zip(delta_ts, free_rhs, bcs):
             with timings.measure("solve"):
                 displacement = np.empty(manager.num_global_dofs)
@@ -551,7 +548,6 @@ class GlobalStage:
                     delta_t=delta_t,
                     timings=timings,
                     solver_stats=solver.last_stats,
-                    _operators=sampling_operators,
                 )
             )
         _logger.info(
@@ -580,8 +576,8 @@ class GlobalSolution:
     delta_t:
         The thermal load of this solution.
     timings, solver_stats:
-        Performance diagnostics of the global stage; the sampling operators
-        are cached per solution (shared by the cases of one ``solve_many``).
+        Performance diagnostics of the global stage.  The sampling operators
+        are cached on the ROMs, so every solution sharing a ROM shares them.
     """
 
     layout: TSVArrayLayout
@@ -592,9 +588,6 @@ class GlobalSolution:
     delta_t: float
     timings: StageTimings
     solver_stats: SolveStats | None = None
-    _operators: dict[tuple[BlockKind, int, int], BlockFieldSampler] = field(
-        default_factory=dict, repr=False
-    )
 
     # ------------------------------------------------------------------ #
     # block-level reconstruction
@@ -624,8 +617,8 @@ class GlobalSolution:
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
         """Sample the blocks of ``rows x cols``, a chunk of one kind at a time.
 
-        A block's values are its kind's operators (cached per kind and
-        :func:`~repro.rom.reconstruction.block_volume_points` grid) times
+        A block's values are its kind's operators (cached on the kind's ROM
+        per :func:`~repro.rom.reconstruction.block_volume_points` grid) times
         ``[q_block, delta_t]`` (paper Eq. 15).  Yields ``(out_rows, out_cols,
         stress, displacement)`` per chunk of at most 128 blocks: positions
         relative to ``(rows[0], cols[0])``, Voigt stress ``(b, m, 6)`` and,
@@ -637,12 +630,9 @@ class GlobalSolution:
             out_rows, out_cols = np.nonzero(kinds == kind)
             if out_rows.size == 0:
                 continue
-            key = (kind, points_per_block, z_planes)
-            if key not in self._operators:
-                rom = self.roms[kind]
-                points = block_volume_points(rom, points_per_block, z_planes)
-                self._operators[key] = BlockFieldSampler(rom, self.materials, points)
-            sampler = self._operators[key]
+            sampler = self.roms[kind].field_sampler(
+                self.materials, points_per_block=points_per_block, z_planes=z_planes
+            )
             stress_op = sampler.stress_operator
             displacement_op = sampler.displacement_operator if displacement else None
             m = sampler.points.shape[0]

@@ -214,6 +214,8 @@ class BlockFieldSampler:
         values = np.empty((count, components, columns))
         for start in range(0, count, step):
             values[start : start + step] = kernel(slice(start, start + step))
+        # Read-only: the sampler is cached on its ROM and shared by solves.
+        values.setflags(write=False)
         return values.reshape(-1, columns)
 
 

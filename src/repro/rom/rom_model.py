@@ -19,7 +19,9 @@ efficiency claim of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,11 @@ from repro.mesh.structured import StructuredHexMesh
 from repro.rom.interpolation import InterpolationScheme
 from repro.utils.serialization import load_npz_bundle, save_npz_bundle
 from repro.utils.validation import ValidationError
+
+#: Field samplers kept per ROM: the mid-plane grid and a field-export grid of
+#: a few specs (a ``(30, 30, 5)`` grid's operators take 25 MB per kind).
+_SAMPLERS_PER_ROM = 4
+_SAMPLERS_LOCK = threading.Lock()
 
 
 @dataclass
@@ -82,6 +89,7 @@ class ReducedOrderModel:
     thermal_coupling: np.ndarray
     local_stage_seconds: float = 0.0
     material_fingerprint: str | None = None
+    _samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.scheme.num_element_dofs
@@ -173,14 +181,33 @@ class ReducedOrderModel:
         evaluates exactly there; otherwise a cell-centred volumetric grid of
         ``points_per_block`` x ``points_per_block`` x ``z_planes`` points is
         used (``z_planes=1`` degenerates to the mid-plane grid of the paper's
-        error metric).  Returns a
+        error metric).  Grid samplers are cached on the ROM, keyed by the
+        grid and the library, so every solve that shares the ROM builds their
+        operators once; such a sampler refers to the ROM weakly, so keep the
+        ROM while using it.  Returns a
         :class:`~repro.rom.reconstruction.BlockFieldSampler`.
         """
         from repro.rom.reconstruction import BlockFieldSampler, block_volume_points
 
-        if points is None:
+        if points is not None:
+            return BlockFieldSampler(self, materials, points)
+        key = (points_per_block, z_planes, materials.fingerprint())
+        with _SAMPLERS_LOCK:
+            sampler = self._samplers.get(key)
+        if sampler is None:
             points = block_volume_points(self, points_per_block, z_planes)
-        return BlockFieldSampler(self, materials, points)
+            # The ROM holds the sampler, so the sampler refers back weakly:
+            # a cycle would keep every dropped ROM alive until the next
+            # garbage collection.
+            sampler = BlockFieldSampler(weakref.proxy(self), materials, points)
+        with _SAMPLERS_LOCK:
+            # Keep a sampler a concurrent caller cached first; most recently
+            # used last, so the least recently used is dropped.
+            sampler = self._samplers.pop(key, sampler)
+            self._samplers[key] = sampler
+            while len(self._samplers) > _SAMPLERS_PER_ROM:
+                del self._samplers[next(iter(self._samplers))]
+        return sampler
 
     def element_rhs(self, delta_t: float) -> np.ndarray:
         """Abstract element right-hand side for a thermal load ``delta_t``.

@@ -48,9 +48,9 @@ class SimulationResult:
         the paper reports as its computational time).
     peak_memory_bytes:
         Process peak RSS (``ru_maxrss``) at the end of the case group's
-        global stage, in bytes.  Manifests and executor checkpoints written
-        before this meaning was adopted carry the global stage's peak
-        ``tracemalloc`` bytes in the same field.
+        global stage, in bytes.  Manifests written before this meaning was
+        adopted carry the global stage's peak ``tracemalloc`` bytes in the
+        same field.
     """
 
     solution: GlobalSolution

@@ -31,9 +31,7 @@ callback at case boundaries:
 
 from __future__ import annotations
 
-import inspect
 import queue
-import shutil
 import threading
 import time
 from pathlib import Path
@@ -105,20 +103,6 @@ def _default_workers() -> int:
     return max(1, available_cpus() // 2)
 
 
-def _accepts_keyword(fn: Callable[..., Any], name: str) -> bool:
-    """Whether ``fn`` can be called with keyword argument ``name``."""
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins / C callables: assume not
-        return False
-    if name in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
 def default_run_summary(result: RunResult) -> dict[str, Any]:
     """The lightweight solve-statistics view stored on a finished job."""
     return {
@@ -157,11 +141,8 @@ class WorkerPool:
         The executor invoked per attempt, ``run_fn(spec, rom_cache=...,
         progress=...) -> RunResult``.  Defaults to :func:`repro.api.run`;
         tests inject doubles to count invocations or simulate failures.
-        When the callable accepts a ``checkpoint_dir`` keyword (the real
-        executor does), each attempt runs with per-group checkpoints under
-        the job's result directory, so a crashed worker's retry — or a
-        re-queued job after a service restart — resumes at the last
-        completed case group instead of restarting.
+        A retried attempt, or a job re-queued by a service restart, runs
+        its spec from the start.
     stall_timeout_seconds:
         When set, a :class:`WorkerWatchdog` reaps executions whose heartbeat
         (attempt start + every case boundary) is staler than this many
@@ -416,20 +397,13 @@ class WorkerPool:
         if run_fn is None:
             from repro.api import run as run_fn  # late import: heavy module
 
-        # Per-group checkpoints under the job's result directory let a retry
-        # (or a recovered job after a restart) resume mid-sweep.  Injected
-        # test doubles may not accept the keyword, so it is offered only to
-        # callables that do.
-        kwargs: dict[str, Any] = {}
-        checkpoint_dir = self.store.result_dir(job) / "checkpoint"
-        if _accepts_keyword(run_fn, "checkpoint_dir"):
-            kwargs["checkpoint_dir"] = checkpoint_dir
-
         try:
             while True:
-                self.store.record_execution(job)
-                token.beat()
                 try:
+                    # Inside the retry path: a crash persisting the attempt
+                    # count must not strand the job in "running".
+                    self.store.record_execution(job)
+                    token.beat()
                     # The worker fault site: "hang" blocks here with a stale
                     # heartbeat (watchdog bait), "crash" raises below and
                     # rides the transient-retry path like any foreign error.
@@ -440,14 +414,9 @@ class WorkerPool:
                         raise faults.SimulatedCrashError(
                             f"injected worker crash while running job {job.id}"
                         )
-                    result = run_fn(
-                        spec, rom_cache=self.rom_cache, progress=progress, **kwargs
-                    )
+                    result = run_fn(spec, rom_cache=self.rom_cache, progress=progress)
                     token.check_abandoned()
                     result.save(self.store.result_dir(job))
-                    # The saved result supersedes the markers; a fresh
-                    # submission of the same spec must not resume from them.
-                    shutil.rmtree(checkpoint_dir, ignore_errors=True)
                     self.store.mark_done(job, default_run_summary(result))
                     return
                 except _AbandonedExecution:

@@ -395,7 +395,7 @@ class JobServer:
                 **self.pool.stats(),
                 "max_queued": self.max_queued,
                 # Every quarantined artifact under the store tree (job
-                # records, checkpoints, result bundles) — the ROM cache
+                # records, result bundles) — the ROM cache
                 # reports its own count under rom_cache.
                 "quarantined_files": count_quarantined(self.store.directory),
                 "uptime_seconds": (

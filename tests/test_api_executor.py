@@ -334,121 +334,3 @@ class TestPeakMemory:
         assert not errors
         assert len(peaks) == 2
         assert all(peak > 0 for peak in peaks)
-
-
-class TestCheckpointResume:
-    """Per-group completion markers: kill a sweep, resume where it stopped."""
-
-    @staticmethod
-    def _spec() -> SimulationSpec:
-        # Two case groups: (a, b) share the 2x2 layout, c is a 3x3 group.
-        return SimulationSpec(
-            geometry=GeometrySpec(pitch=15.0, rows=2),
-            mesh=MESH,
-            load_cases=(
-                LoadCase(name="a", delta_t=-250.0),
-                LoadCase(name="b", delta_t=-100.0),
-                LoadCase(name="c", delta_t=-250.0, rows=3),
-            ),
-        )
-
-    def test_kill_and_resume_skips_completed_groups(self, tmp_path, monkeypatch):
-        import repro.api.executor as executor_module
-
-        spec = self._spec()
-        checkpoint = tmp_path / "checkpoint"
-        fresh = run(SimulationSpec.from_json(spec.to_json()))
-
-        class Killed(RuntimeError):
-            pass
-
-        def dying_progress(done: int, total: int, name: str) -> None:
-            if name == "b":  # group 0 marker is on disk; group 1 not yet run
-                raise Killed()
-
-        with pytest.raises(Killed):
-            run(spec, progress=dying_progress, checkpoint_dir=checkpoint)
-        assert (checkpoint / "group0.npz").exists()
-        assert not (checkpoint / "group1.npz").exists()
-
-        real_execute = executor_module.execute_cases
-        executed = []
-
-        def counting_execute(simulator, layout, delta_ts, **kwargs):
-            executed.append(tuple(delta_ts))
-            return real_execute(simulator, layout, delta_ts, **kwargs)
-
-        monkeypatch.setattr(executor_module, "execute_cases", counting_execute)
-        resumed = run(spec, checkpoint_dir=checkpoint)
-        # Only the unfinished group was solved on resume.
-        assert executed == [(-250.0,)]
-        for name in ("a", "b", "c"):
-            np.testing.assert_array_equal(
-                resumed.case(name).von_mises, fresh.case(name).von_mises
-            )
-            assert resumed.case(name).solver_method == fresh.case(name).solver_method
-        assert (checkpoint / "group1.npz").exists()
-
-    def test_marker_with_a_shard_entry_still_resumes(self, tmp_path, monkeypatch):
-        # Builds with the out-of-core global stage wrote a per-case "shard"
-        # record into each marker; it is ignored on restore.
-        import repro.api.executor as executor_module
-        from repro.utils.serialization import load_npz_bundle, save_npz_bundle
-
-        spec = self._spec()
-        checkpoint = tmp_path / "checkpoint"
-        fresh = run(spec, checkpoint_dir=checkpoint)
-        for marker in sorted(checkpoint.glob("group*.npz")):
-            arrays, metadata = load_npz_bundle(marker)
-            for info in metadata["results"]:
-                info["shard"] = {"grid": [2, 2], "overlap": 2, "iterations": 3}
-            save_npz_bundle(marker, arrays, metadata=metadata)
-
-        executed = []
-
-        def counting_execute(simulator, layout, delta_ts, **kwargs):
-            executed.append(tuple(delta_ts))
-            return []
-
-        monkeypatch.setattr(executor_module, "execute_cases", counting_execute)
-        resumed = run(spec, checkpoint_dir=checkpoint)
-        assert executed == []
-        for name in ("a", "b", "c"):
-            np.testing.assert_array_equal(
-                resumed.case(name).von_mises, fresh.case(name).von_mises
-            )
-            assert resumed.case(name).solver_method == fresh.case(name).solver_method
-
-    def test_corrupt_marker_degrades_to_fresh_solve(self, tmp_path):
-        spec = self._spec()
-        checkpoint = tmp_path / "checkpoint"
-        checkpoint.mkdir()
-        (checkpoint / "group0.npz").write_bytes(b"not a bundle")
-        fresh = run(SimulationSpec.from_json(spec.to_json()))
-        result = run(spec, checkpoint_dir=checkpoint)
-        for name in ("a", "b", "c"):
-            np.testing.assert_array_equal(
-                result.case(name).von_mises, fresh.case(name).von_mises
-            )
-
-    def test_marker_of_a_different_spec_is_ignored(self, tmp_path):
-        checkpoint = tmp_path / "checkpoint"
-        first = self._spec()
-        run(first, checkpoint_dir=checkpoint)
-        assert (checkpoint / "group0.npz").exists()
-
-        changed = SimulationSpec(
-            geometry=GeometrySpec(pitch=15.0, rows=2),
-            mesh=MESH,
-            load_cases=(
-                LoadCase(name="a", delta_t=-200.0),
-                LoadCase(name="b", delta_t=-100.0),
-                LoadCase(name="c", delta_t=-200.0, rows=3),
-            ),
-        )
-        fresh = run(SimulationSpec.from_json(changed.to_json()))
-        result = run(changed, checkpoint_dir=checkpoint)
-        for name in ("a", "b", "c"):
-            np.testing.assert_array_equal(
-                result.case(name).von_mises, fresh.case(name).von_mises
-            )

@@ -113,7 +113,7 @@ class TestRoundTrip:
     def test_int_valued_floats_hash_like_their_json_round_trip(self):
         # A spec built in Python with ``pitch=12`` equals its JSON round trip
         # (which holds 12.0), so it must hash equal too: saved runs and
-        # ``--save`` checkpoints are keyed by the hash.
+        # service jobs are keyed by the hash.
         spec = SimulationSpec(
             geometry=GeometrySpec(pitch=12, rows=2),
             mesh=MeshSpec(resolution=MeshResolution(outer_ratio=1, z_refinement=2)),
@@ -420,7 +420,7 @@ def _error(document) -> str:
 class TestSpecErrorTextIsPinned:
     """Exact ``SpecError`` text of malformed documents and exact spec hashes.
 
-    Saved runs, checkpoints and service jobs are keyed by ``spec_hash``, and
+    Saved runs and service jobs are keyed by ``spec_hash``, and
     users read the error text, so both must survive any rewrite of the codec.
     """
 

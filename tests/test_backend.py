@@ -6,7 +6,8 @@ and after the field existed still load, and that the schema gate holds.
 
 import pytest
 
-from repro.api.spec import SimulationSpec, SpecError
+from repro.api.spec import SimulationSpec
+from repro.errors import SpecError
 
 
 class TestSpecIntegration:

@@ -148,25 +148,6 @@ class TestKillNineRecovery:
         finally:
             server.stop()
 
-    def test_torn_checkpoint_is_quarantined_and_resolved(self, tmp_path):
-        from repro.api import SimulationSpec, run
-
-        spec = SimulationSpec.from_dict(
-            {**TINY_SPEC, "name": "chaos-checkpoint"}
-        )
-        checkpoint_dir = tmp_path / "checkpoints"
-        result = run(spec, checkpoint_dir=checkpoint_dir)
-        paths = sorted(checkpoint_dir.rglob("*.npz"))
-        assert paths, "the run wrote no checkpoints"
-        payload = paths[0].read_bytes()
-        paths[0].write_bytes(payload[: len(payload) // 2])  # tear it
-
-        rerun = run(spec, checkpoint_dir=checkpoint_dir)
-        assert count_quarantined(checkpoint_dir) == 1
-        assert rerun.case(result.cases[0].name).peak_von_mises == pytest.approx(
-            result.cases[0].peak_von_mises
-        )
-
 
 class TestWatchdogAndBreaker:
     def test_stalled_job_exhausting_budget_fails_typed(self, tmp_path):

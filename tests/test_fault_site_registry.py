@@ -25,7 +25,6 @@ class TestRegistryContent:
         for expected in (
             "serialization.dump_json",
             "serialization.save_npz",
-            "executor.checkpoint",
             "service.jobs.persist",
             "rom_cache.put",
             "service.pool.worker",

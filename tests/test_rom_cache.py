@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import struct
+import time
 import zipfile
 
 import numpy as np
@@ -12,6 +13,8 @@ from repro.geometry.unit_block import UnitBlockGeometry
 from repro.materials.library import MaterialLibrary
 from repro.materials.material import IsotropicMaterial
 from repro.mesh.resolution import MeshResolution
+from repro.rom import cache as cache_module
+from repro.rom import rom_model
 from repro.rom.cache import ROMCache, rom_cache_key
 from repro.rom.interpolation import InterpolationScheme
 from repro.rom.local_stage import LocalStage
@@ -291,6 +294,124 @@ class TestStoredBundles:
         assert _get(cache, fast_rom, materials) is None
         assert (cache.hits, cache.misses, cache.quarantined) == (1, 1, 1)
         assert count_quarantined(cache.directory) == 1
+
+
+def _settle():
+    """Wait until a just-written bundle's ctime is old enough to memoize."""
+    time.sleep(2 * cache_module._SETTLED_NS / 1e9)
+
+
+@pytest.fixture()
+def counted_loads(monkeypatch):
+    """Record the path of every bundle ``ReducedOrderModel.load`` reads."""
+    paths = []
+    original = rom_model.load_npz_bundle
+
+    def counting(path, *args, **kwargs):
+        paths.append(path)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(rom_model, "load_npz_bundle", counting)
+    return paths
+
+
+class TestLoadedROMMemo:
+    def test_unchanged_bundle_returns_the_same_rom_without_a_load(
+        self, fast_rom, materials, tmp_path, counted_loads
+    ):
+        cache = ROMCache(tmp_path / "cache")
+        cache.put(fast_rom)
+        _settle()
+        first = _get(cache, fast_rom, materials)
+        assert len(counted_loads) == 1
+        for _ in range(3):
+            assert _get(cache, fast_rom, materials) is first
+        assert len(counted_loads) == 1
+        assert (cache.hits, cache.misses) == (4, 0)
+        assert cache.stats()["hits"] == 4
+
+    def test_memoized_rom_is_read_only(self, fast_rom, materials, tmp_path):
+        cache = ROMCache(tmp_path / "cache")
+        cache.put(fast_rom)
+        _settle()
+        rom = _get(cache, fast_rom, materials)
+        assert _get(cache, fast_rom, materials) is rom
+        for array in (rom.basis, rom.element_stiffness, rom.element_load, rom.mesh.xs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_rebuilt_put_reloads(self, fast_rom, materials, tmp_path, counted_loads):
+        cache = ROMCache(tmp_path / "cache")
+        cache.put(fast_rom)
+        _settle()
+        first = _get(cache, fast_rom, materials)
+        cache.put(fast_rom)  # a rebuild: a new file under the same key
+        second = _get(cache, fast_rom, materials)
+        assert second is not first
+        assert len(counted_loads) == 2
+        np.testing.assert_array_equal(second.basis, first.basis)
+
+    def test_torn_rewrite_is_quarantined(self, fast_rom, materials, tmp_path):
+        from repro import faults
+
+        cache = ROMCache(tmp_path / "cache")
+        cache.put(fast_rom)
+        _settle()
+        assert _get(cache, fast_rom, materials) is not None
+        plan = faults.FaultPlan(
+            seed=0, rules=({"site": "rom_cache.put", "kind": "torn_write"},)
+        )
+        with faults.injected_faults(plan):
+            cache.put(fast_rom)
+        assert _get(cache, fast_rom, materials) is None
+        assert (cache.hits, cache.misses, cache.quarantined) == (1, 1, 1)
+
+    def test_quarantined_bundle_misses_then_reloads(
+        self, fast_rom, materials, tmp_path, counted_loads
+    ):
+        cache = ROMCache(tmp_path / "cache")
+        path = cache.put(fast_rom)
+        _settle()
+        first = _get(cache, fast_rom, materials)
+        serialization.quarantine_file(path, "test")
+        assert _get(cache, fast_rom, materials) is None
+        cache.put(fast_rom)
+        assert _get(cache, fast_rom, materials) is not first
+        assert len(counted_loads) == 2
+
+    def test_cap_drops_the_least_recently_used(
+        self, fast_rom, materials, tmp_path, counted_loads, monkeypatch
+    ):
+        monkeypatch.setattr(cache_module, "_MEMO_SIZE", 2)
+        cache = ROMCache(tmp_path / "cache")
+        roms = [TestLRUEviction._variant(fast_rom, pitch) for pitch in (11.0, 12.0, 13.0)]
+        for rom in roms:
+            cache.put(rom)
+        _settle()
+        loaded = [_get(cache, rom, materials) for rom in roms]
+        assert len(counted_loads) == 3
+        assert _get(cache, roms[2], materials) is loaded[2]
+        assert _get(cache, roms[1], materials) is loaded[1]
+        assert len(counted_loads) == 3
+        assert _get(cache, roms[0], materials) is not loaded[0]  # dropped first
+        assert len(counted_loads) == 4
+
+    def test_memo_hit_still_checks_the_library(
+        self, fast_rom, materials, altered_materials, tmp_path, counted_loads
+    ):
+        # A bundle built with one library, filed under another's key.
+        cache = ROMCache(tmp_path / "cache")
+        built_with = cache.put(fast_rom)
+        filed_under = cache.path_for(
+            fast_rom.block, fast_rom.resolution, fast_rom.scheme, altered_materials
+        )
+        built_with.rename(filed_under)
+        _settle()
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="different material library"):
+                _get(cache, fast_rom, altered_materials)
+        assert len(counted_loads) == 1
+        assert cache.hits == 0
 
 
 class TestMismatchedLibraryRejection:

@@ -1,6 +1,8 @@
 """Unit tests for the global DoF numbering, global stage and field reconstruction."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -816,6 +818,56 @@ class TestBlockFieldSampler:
             sampler.stress_from_fine(np.zeros(7), 0.0)
         with pytest.raises(ValidationError):
             sampler.stress_from_fine(np.zeros((rom_tsv_tiny.mesh.num_dofs, 2, 2)), 0.0)
+
+
+class TestSamplersLiveOnTheROM:
+    def test_shared_rom_builds_each_sampler_once(
+        self, rom_tsv_tiny, materials, tsv15, monkeypatch
+    ):
+        from repro.postprocess.fields import reconstruct_array_field
+        from repro.rom import reconstruction
+
+        layout = TSVArrayLayout.full(tsv15, rows=2, cols=3)
+
+        def stress(rom, delta_t):
+            stage = GlobalStage({BlockKind.TSV: rom}, materials)
+            solution = stage.solve_many(layout, [delta_t])[0]
+            field = reconstruct_array_field(solution, points_per_block=4, z_planes=3)
+            return solution.von_mises_midplane(5), field.stress, field.displacement
+
+        # Each solve alone, on a ROM of its own (replace() starts a new cache).
+        alone = [stress(dataclasses.replace(rom_tsv_tiny), dt) for dt in (-250.0, -40.0)]
+
+        built = []
+        original = reconstruction.BlockFieldSampler._basis_operator
+
+        def counting(sampler, components, kernel):
+            built.append((sampler.points.shape[0], components))
+            return original(sampler, components, kernel)
+
+        monkeypatch.setattr(reconstruction.BlockFieldSampler, "_basis_operator", counting)
+        shared = dataclasses.replace(rom_tsv_tiny)
+        together = [stress(shared, dt) for dt in (-250.0, -40.0)]
+        # Mid-plane stress, field stress and field displacement: once each.
+        assert sorted(built) == [(25, 6), (48, 3), (48, 6)]
+        for mine, theirs in zip(together, alone):
+            for a, b in zip(mine, theirs):
+                assert np.array_equal(a, b)
+        sampler = shared.field_sampler(materials, points_per_block=5)
+        assert sampler is shared.field_sampler(materials, points_per_block=5)
+        assert not sampler.stress_operator.flags.writeable
+
+
+    def test_a_dropped_rom_is_freed_without_a_collection(self, rom_tsv_tiny, materials):
+        rom = dataclasses.replace(rom_tsv_tiny)
+        assert rom.field_sampler(materials, points_per_block=3).stress_operator.size
+        alive = weakref.ref(rom)
+        gc.disable()
+        try:
+            del rom
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestMidplaneValidation:

@@ -27,8 +27,8 @@ from repro.api.spec import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
     SimulationSpec,
-    SpecError,
 )
+from repro.errors import SpecError
 
 
 def _spec_document(version: int) -> dict:
@@ -153,7 +153,7 @@ class TestRetiredShardField:
         assert SimulationSpec().to_dict()["solver"]["shard"] is None
 
     def test_example_spec_hash_is_unchanged(self):
-        # The hash every saved run and checkpoint of this example carries.
+        # The hash every saved run of this example carries.
         path = Path(__file__).resolve().parents[1] / "examples/specs/load_sweep.json"
         spec = SimulationSpec.from_json(path.read_text())
         assert spec.spec_hash() == "72b93fd14aca8c83c3f1"

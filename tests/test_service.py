@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults
 from repro.api import SimulationSpec, run
 from repro.errors import (
     JobCancelledError,
@@ -255,28 +256,30 @@ class TestWorkerPool:
         finally:
             pool.shutdown()
 
-    def test_checkpoint_dir_offered_only_to_accepting_run_fns(self, tmp_path):
+    @pytest.mark.parametrize("max_attempts, final", [(2, "done"), (1, "failed")])
+    def test_crash_persisting_the_attempt_retries_or_fails(
+        self, tmp_path, max_attempts, final
+    ):
+        # After the submit, a one-worker pool persists the job twice before
+        # run_fn: mark_running, then record_execution, whose write crashes.
         store = JobStore(tmp_path)
-        seen = {}
+        job, _ = store.submit(TINY_SPEC, max_attempts=max_attempts)
+        plan = faults.FaultPlan(
+            seed=0,
+            rules=({"site": "service.jobs.persist", "kind": "crash", "nth": 2},),
+        )
+        calls = []
 
-        def run_fn(spec, rom_cache=None, progress=None, **kwargs):
-            seen.update(kwargs)
-            checkpoint = Path(kwargs["checkpoint_dir"])
-            checkpoint.mkdir(parents=True, exist_ok=True)
-            (checkpoint / "group0.npz").write_bytes(b"marker")
+        def run_fn(spec, rom_cache=None, progress=None):
+            calls.append(1)
             return FakeResult()
 
-        job, _ = store.submit(TINY_SPEC)
-        pool = WorkerPool(store, workers=1, run_fn=run_fn)
-        pool.start()
-        try:
-            wait_until(lambda: store.get(job.id).is_terminal)
-        finally:
-            pool.shutdown()
-        assert store.get(job.id).state == "done"
-        expected = store.result_dir(store.get(job.id)) / "checkpoint"
-        assert Path(seen["checkpoint_dir"]) == expected
-        assert not expected.exists()  # markers removed after the saved result
+        with faults.injected_faults(plan):
+            ended = self._drain(store, run_fn, job, retry_backoff_seconds=0.01)
+        assert [event["site"] for event in plan.fired] == ["service.jobs.persist"]
+        assert ended.state == final
+        assert ended.attempts == max_attempts
+        assert len(calls) == max_attempts - 1
 
 
 @pytest.fixture()
