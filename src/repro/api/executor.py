@@ -123,7 +123,6 @@ def build_simulator(
     *,
     materials: MaterialLibrary | None = None,
     rom_cache: "ROMCache | str | Path | None" = None,
-    jobs: int | None = None,
 ) -> "MoreStressSimulator":
     """The :class:`MoreStressSimulator` that :func:`run` executes ``spec`` with.
 
@@ -141,7 +140,6 @@ def build_simulator(
         nodes_per_axis=spec.mesh.nodes_per_axis,
         solver_options=spec.solver.build_options(),
         rom_cache=rom_cache,
-        jobs=jobs if jobs is not None else spec.solver.jobs,
     )
 
 
@@ -150,7 +148,6 @@ def run(
     *,
     materials: MaterialLibrary | None = None,
     rom_cache: "ROMCache | str | Path | None" = None,
-    jobs: int | None = None,
     coarse_solution: "CoarsePackageSolution | None" = None,
     progress: Callable[[int, int, str], None] | None = None,
 ) -> RunResult:
@@ -168,9 +165,6 @@ def run(
     rom_cache:
         Optional persistent :class:`ROMCache` (or directory) shared across
         runs; cache paths are machine-specific, so they live outside the spec.
-    jobs:
-        Worker-count override for the parallel local stage; defaults to
-        ``spec.solver.jobs``.
     coarse_solution:
         Optional pre-solved coarse package model reused for every sub-model
         case (the experiment drivers solve it once and share it with the
@@ -188,9 +182,7 @@ def run(
     from repro.geometry.package import ChipletPackage
     from repro.rom.submodeling import place_submodel
 
-    simulator = build_simulator(
-        spec, materials=materials, rom_cache=rom_cache, jobs=jobs
-    )
+    simulator = build_simulator(spec, materials=materials, rom_cache=rom_cache)
 
     # Sub-modeling context: the chiplet package and the coarse solutions
     # (solved lazily, once per distinct thermal load) that supply the cut

@@ -22,9 +22,9 @@ lists, nested specs as objects); a field without a default is required, and
 a missing one takes its default.  The exceptions are data beside the codec:
 ``_CONSTANT_KEYS`` holds the keys written as constants besides the fields
 (``schema_version`` and the retired ``solver.array_backend``,
-``solver.backend`` and ``solver.shard``) with the values each accepts, and
-``_REQUIRED_KEYS`` the four cell counts an explicit ``mesh.resolution``
-object must name.
+``solver.backend``, ``solver.shard`` and ``solver.jobs``) with the values
+each accepts, and ``_REQUIRED_KEYS`` the four cell counts an explicit
+``mesh.resolution`` object must name.
 """
 
 from __future__ import annotations
@@ -257,19 +257,22 @@ class MeshSpec:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SolverSpec:
-    """Global-stage solver configuration plus the local-stage worker count."""
+    """Global-stage solver configuration.
+
+    How the run is scheduled is not part of the spec: the local stage
+    always builds its independent unit blocks concurrently, and the retired
+    ``solver.jobs`` key is written as ``null`` (see ``_CONSTANT_KEYS``), so a
+    document that names a worker count hashes like one that does not.
+    """
 
     method: str = "gmres"
     rtol: float = 1e-9
     max_iterations: int = 5000
     gmres_restart: int = 100
-    jobs: int | None = None
 
     def __post_init__(self) -> None:
         # SolverOptions validates method/rtol/max_iterations eagerly.
         self.build_options()
-        if self.jobs is not None:
-            check_positive_int("jobs", self.jobs)
 
     def build_options(self) -> SolverOptions:
         """The :class:`SolverOptions` this spec describes."""
@@ -566,11 +569,13 @@ class _Constant(NamedTuple):
 
 #: Keys a document carries besides the fields of its class.  A missing key
 #: loads; a present one loads only if ``accepts`` its value, and is then
-#: dropped.  ``solver.array_backend``, ``solver.backend`` and ``solver.shard``
-#: are retired fields (every build computes on numpy; ``solver.method`` alone
-#: picks the sparse solver; the out-of-core global stage is gone) kept as
-#: constants so that documents, spec hashes and the benchmark's committed
-#: reference spec stay identical to those of builds that had the fields.
+#: dropped.  ``solver.array_backend``, ``solver.backend``, ``solver.shard``
+#: and ``solver.jobs`` are retired fields (every build computes on numpy;
+#: ``solver.method`` alone picks the sparse solver; the out-of-core global
+#: stage is gone; the local stage always builds its blocks concurrently) kept
+#: as constants so that documents, spec hashes and the benchmark's committed
+#: reference spec stay identical to those of builds that had the fields.  A
+#: saved ``solver.jobs`` worker count still loads, and hashes like ``null``.
 _CONSTANT_KEYS: dict[type, dict[str, _Constant]] = {
     SimulationSpec: {
         "schema_version": _Constant(
@@ -600,6 +605,14 @@ _CONSTANT_KEYS: dict[type, dict[str, _Constant]] = {
             lambda value: value is None,
             "the sharded global stage was removed; the matrix-free solve covers "
             "every array size, so only null is accepted",
+        ),
+        "jobs": _Constant(
+            None,
+            # true == 1 and 2.0 == 2, so check the type before the value.
+            lambda value: value is None
+            or (isinstance(value, int) and not isinstance(value, bool) and value >= 1),
+            "the local stage always builds its blocks concurrently, so only null "
+            "or a positive integer (ignored) is accepted, got {got!r}",
         ),
     },
 }

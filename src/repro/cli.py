@@ -63,7 +63,6 @@ from repro.api import (
     OutputSpec,
     RunResult,
     SimulationSpec,
-    SolverSpec,
     run as run_simulation_spec,
 )
 from repro.api.envelope import wrap
@@ -120,19 +119,6 @@ def _parse_material_override(text: str) -> MaterialOverride:
         )
     except ValidationError as exc:  # surface the message as a usage error
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser, what: str) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            f"workers for {what} (default: one per CPU); "
-            "results are identical to --jobs 1"
-        ),
-    )
 
 
 def _add_json_envelope_argument(parser: argparse.ArgumentParser, what: str) -> None:
@@ -203,7 +189,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
             "Poisson ratio, CTE in ppm/degC — e.g. --material copper:120,0.34,16.5"
         ),
     )
-    _add_jobs_argument(parser, "the parallel local stage")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -285,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persistent ROM cache directory shared across runs",
     )
-    _add_jobs_argument(run, "the parallel local stage")
     run.add_argument(
         "--json",
         nargs="?",
@@ -346,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persistent ROM cache directory (used only if the run must be re-solved)",
     )
-    _add_jobs_argument(export, "the field reconstruction")
     _add_json_envelope_argument(export, "the export summary + hotspot tables")
 
     serve = subparsers.add_parser(
@@ -567,7 +550,16 @@ def _build_parser() -> argparse.ArgumentParser:
                 "where defined) or 'paper' (the paper's full configuration)"
             ),
         )
-        _add_jobs_argument(table, "the independent experiment cases")
+        table.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            metavar="N",
+            help=(
+                "workers for the independent experiment cases (default: one "
+                "per CPU); results are identical to --jobs 1"
+            ),
+        )
         _add_json_envelope_argument(table, "the table (title, columns, rows)")
 
     return parser
@@ -626,7 +618,6 @@ def _spec_from_args(args: argparse.Namespace) -> SimulationSpec:
             nodes_per_axis=(args.nodes, args.nodes, args.nodes),
             points_per_block=args.points_per_block,
         ),
-        solver=SolverSpec(jobs=args.jobs),
         load_cases=(LoadCase(name="cli", delta_t=args.delta_t),),
         output=output,
     )
@@ -679,6 +670,29 @@ def _export_and_report(
     }
 
 
+def _finish_run(result: RunResult, args: argparse.Namespace, save: str | None = None) -> None:
+    """The outputs ``simulate`` and ``run`` write after their text summary.
+
+    ``--json PATH`` writes the flat provenance manifest, ``save`` persists
+    the full result, ``--export-field DIR`` writes the field exports and
+    the hotspot report, and a bare ``--json`` prints the result envelope
+    (the command printed no summary then).
+    """
+    json_mode = args.json_path == "-"
+    if args.json_path and not json_mode:
+        # Historical behaviour: --json PATH writes the *flat* manifest file.
+        dump_json(args.json_path, result.manifest())
+        print(f"manifest          : {args.json_path}")
+    if save:
+        result.save(save)
+        if not json_mode:
+            print(f"full result       : {save}")
+    if args.export_field:
+        _export_and_report(result, args.export_field, quiet=json_mode)
+    if json_mode:
+        _emit_envelope(result.envelope(), "-")
+
+
 def _command_simulate(args: argparse.Namespace) -> int:
     try:
         spec = _spec_from_args(args)
@@ -686,8 +700,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = run_simulation_spec(spec, rom_cache=args.rom_cache)
-    json_mode = args.json_path == "-"
-    if not json_mode:
+    if args.json_path != "-":
         case = result.cases[0]
         vm = case.von_mises
         rows, cols = vm.shape[:2]
@@ -702,14 +715,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
         print(f"reduced DoFs      : {case.num_global_dofs}")
         print(f"peak von Mises    : {vm.max():.1f} MPa")
         print(f"mean von Mises    : {vm.mean():.1f} MPa")
-    if args.json_path and not json_mode:
-        # Historical behaviour: --json PATH writes the *flat* manifest file.
-        dump_json(args.json_path, result.manifest())
-        print(f"manifest          : {args.json_path}")
-    if args.export_field:
-        _export_and_report(result, args.export_field, quiet=json_mode)
-    if json_mode:
-        _emit_envelope(result.envelope(), "-")
+    _finish_run(result, args)
     return 0
 
 
@@ -786,10 +792,8 @@ def _command_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _check_run_flags(jobs: int | None, directories: dict[str, str | None]) -> None:
-    """Reject flag values that would only fail once the run has started."""
-    if jobs is not None:
-        check_positive_int("jobs", jobs)
+def _check_output_directories(directories: dict[str, str | None]) -> None:
+    """Reject output paths that would only fail once the run has started."""
     for flag, directory in directories.items():
         if directory and Path(directory).exists() and not Path(directory).is_dir():
             raise ValidationError(f"{flag} {directory} exists and is not a directory")
@@ -802,38 +806,24 @@ def _command_run(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = SimulationSpec.from_json(path.read_text())
-        _check_run_flags(
-            args.jobs, {"--save": args.save, "--export-field": args.export_field}
-        )
+        _check_output_directories({"--save": args.save, "--export-field": args.export_field})
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.export_field and spec.output is None:
         spec = dataclasses.replace(spec, output=OutputSpec())
-    result = run_simulation_spec(spec, rom_cache=args.rom_cache, jobs=args.jobs)
-    json_mode = args.json_path == "-"
-    if not json_mode:
+    result = run_simulation_spec(spec, rom_cache=args.rom_cache)
+    if args.json_path != "-":
         print(f"spec              : {spec.name} ({result.spec_hash})")
         _print_run_summary(result)
-    if args.json_path and not json_mode:
-        # Historical behaviour: --json PATH writes the *flat* manifest file.
-        dump_json(args.json_path, result.manifest())
-        print(f"manifest          : {args.json_path}")
-    if args.save:
-        result.save(args.save)
-        if not json_mode:
-            print(f"full result       : {args.save}")
-    if args.export_field:
-        _export_and_report(result, args.export_field, quiet=json_mode)
-    if json_mode:
-        _emit_envelope(result.envelope(), "-")
+    _finish_run(result, args, save=args.save)
     return 0
 
 
 def _command_export(args: argparse.Namespace) -> int:
     results_dir = Path(args.results_dir)
     try:
-        _check_run_flags(args.jobs, {"--output": args.output})
+        _check_output_directories({"--output": args.output})
         result = RunResult.load(results_dir)
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -850,7 +840,7 @@ def _command_export(args: argparse.Namespace) -> int:
             "saved results carry no full fields; re-solving the archived spec "
             f"{spec.name!r} with field outputs enabled"
         )
-        result = run_simulation_spec(spec, rom_cache=args.rom_cache, jobs=args.jobs)
+        result = run_simulation_spec(spec, rom_cache=args.rom_cache)
         # The output section only adds post-processing — the solve is the
         # archived one — so the exports stay stamped with the archive's hash
         # and remain joinable to its manifest.
@@ -872,7 +862,8 @@ def _command_table(
     json_path: str | None = None,
 ) -> int:
     try:
-        _check_run_flags(jobs, {})
+        if jobs is not None:
+            check_positive_int("jobs", jobs)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

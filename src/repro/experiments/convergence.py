@@ -22,7 +22,7 @@ from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import MaterialLibrary
 from repro.rom.interpolation import InterpolationScheme
 from repro.utils.logging import get_logger
-from repro.utils.parallel import parallel_map, resolve_jobs
+from repro.utils.parallel import parallel_map
 
 _logger = get_logger("experiments.convergence")
 
@@ -73,11 +73,6 @@ def run_convergence_study(
     reference_vm = reference_solution.von_mises_midplane(config.points_per_block)
     reference_seconds = reference_solution.total_time()
 
-    # Split the worker budget between the outer node-count sweep and each
-    # case's local stage, so --jobs N never oversubscribes to N*N threads.
-    outer_jobs = min(resolve_jobs(jobs), max(1, len(config.node_counts)))
-    inner_jobs = max(1, resolve_jobs(jobs) // outer_jobs)
-
     def run_case(nodes: tuple[int, int, int]) -> ConvergenceRecord:
         _logger.info("convergence: nodes=%s", nodes)
         # Each node count runs through the declarative executor as its own
@@ -86,7 +81,6 @@ def run_convergence_study(
             config.to_spec(nodes_per_axis=nodes),
             materials=materials,
             rom_cache=rom_cache,
-            jobs=inner_jobs,
         )
         case = rom_run.cases[0]
         return ConvergenceRecord(
@@ -97,7 +91,7 @@ def run_convergence_study(
             error=normalized_mae(case.von_mises, reference_vm),
         )
 
-    records = parallel_map(run_case, config.node_counts, jobs=outer_jobs)
+    records = parallel_map(run_case, config.node_counts, jobs=jobs)
     return records, reference_seconds
 
 

@@ -40,11 +40,10 @@ def build_local_stage(
     spec: SimulationSpec,
     materials: MaterialLibrary,
     cache: ROMCache,
-    jobs: int | None,
     include_dummy: bool,
 ) -> float:
     """Build ``spec``'s ROMs into ``cache``; return the local-stage wall time."""
-    simulator = build_simulator(spec, materials=materials, rom_cache=cache, jobs=jobs)
+    simulator = build_simulator(spec, materials=materials, rom_cache=cache)
     simulator.build_roms(include_dummy=include_dummy)
     return simulator.local_stage_seconds
 

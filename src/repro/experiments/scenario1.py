@@ -33,7 +33,7 @@ from repro.geometry.array_layout import TSVArrayLayout
 from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import MaterialLibrary
 from repro.utils.logging import get_logger
-from repro.utils.parallel import parallel_map, resolve_jobs
+from repro.utils.parallel import parallel_map
 
 _logger = get_logger("experiments.scenario1")
 
@@ -93,10 +93,6 @@ def run_scenario1(
     """
     config = config or Scenario1Config.small()
     materials = materials or MaterialLibrary.default()
-    # Split the worker budget between the outer per-pitch sweep and each
-    # pitch's local stage, so --jobs N never oversubscribes to N*N threads.
-    outer_jobs = min(resolve_jobs(jobs), max(1, len(config.pitches)))
-    inner_jobs = max(1, resolve_jobs(jobs) // outer_jobs)
 
     def run_pitch(pitch: float) -> list[Scenario1Record]:
         records: list[Scenario1Record] = []
@@ -113,9 +109,7 @@ def run_scenario1(
         # The one-shot local stage runs once per pitch (exactly as the paper
         # accounts for it), outside every memory bracket; each array size
         # then loads the ROM from the warm cache.
-        local_stage_seconds = build_local_stage(
-            spec, materials, cache, jobs=inner_jobs, include_dummy=False
-        )
+        local_stage_seconds = build_local_stage(spec, materials, cache, include_dummy=False)
         for size, load_case in zip(config.array_sizes, spec.load_cases):
             layout = TSVArrayLayout.full(tsv, rows=size)
             _logger.info("scenario 1: pitch=%g size=%dx%d", pitch, size, size)
@@ -133,7 +127,6 @@ def run_scenario1(
                 load_case,
                 materials=materials,
                 rom_cache=cache,
-                jobs=inner_jobs,
             )
             records.append(
                 Scenario1Record(
@@ -155,7 +148,7 @@ def run_scenario1(
         return records
 
     with shared_rom_cache(rom_cache) as cache:
-        per_pitch = parallel_map(run_pitch, config.pitches, jobs=outer_jobs)
+        per_pitch = parallel_map(run_pitch, config.pitches, jobs=jobs)
     return [record for pitch_records in per_pitch for record in pitch_records]
 
 

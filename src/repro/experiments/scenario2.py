@@ -41,7 +41,7 @@ from repro.geometry.tsv import TSVGeometry
 from repro.materials.library import MaterialLibrary
 from repro.rom.submodeling import place_submodel
 from repro.utils.logging import get_logger
-from repro.utils.parallel import parallel_map, resolve_jobs
+from repro.utils.parallel import parallel_map
 
 _logger = get_logger("experiments.scenario2")
 
@@ -102,10 +102,6 @@ def run_scenario2(
     config = config or Scenario2Config.small()
     materials = materials or MaterialLibrary.default()
     package = ChipletPackage.scaled_default(config.package_scale)
-    # Split the worker budget between the outer per-pitch sweep and each
-    # pitch's local stage, so --jobs N never oversubscribes to N*N threads.
-    outer_jobs = min(resolve_jobs(jobs), max(1, len(config.pitches)))
-    inner_jobs = max(1, resolve_jobs(jobs) // outer_jobs)
 
     def run_pitch(pitch: float) -> list[Scenario2Record]:
         records: list[Scenario2Record] = []
@@ -139,7 +135,6 @@ def run_scenario2(
             spec,
             materials,
             cache,
-            jobs=inner_jobs,
             include_dummy=config.dummy_ring_width > 0,
         )
         for location_name, load_case in zip(config.locations, spec.load_cases):
@@ -174,7 +169,6 @@ def run_scenario2(
                 load_case,
                 materials=materials,
                 rom_cache=cache,
-                jobs=inner_jobs,
                 coarse_solution=coarse_solution,
             )
             records.append(
@@ -198,7 +192,7 @@ def run_scenario2(
         return records
 
     with shared_rom_cache(rom_cache) as cache:
-        per_pitch = parallel_map(run_pitch, config.pitches, jobs=outer_jobs)
+        per_pitch = parallel_map(run_pitch, config.pitches, jobs=jobs)
     return [record for pitch_records in per_pitch for record in pitch_records]
 
 

@@ -41,7 +41,7 @@ from repro.rom.cache import ROMCache
 from repro.rom.interpolation import InterpolationScheme
 from repro.rom.rom_model import ReducedOrderModel
 from repro.utils.logging import get_logger
-from repro.utils.parallel import parallel_map, resolve_jobs
+from repro.utils.parallel import parallel_map
 from repro.utils.timing import StageTimings
 
 _logger = get_logger("rom.local_stage")
@@ -65,25 +65,18 @@ class LocalStage:
         When set, :meth:`build` first looks the configuration up in the cache
         and, on a hit, skips the local stage entirely; on a miss the freshly
         built ROM is stored for future runs.
-    jobs:
-        Worker count for independent block builds (:meth:`build_many`,
-        :meth:`build_pair`).  ``None`` (the default) uses one worker per
-        CPU; ``1`` runs serially.  The parallel schedule never changes
-        results, only wall-clock time.
     """
 
     materials: MaterialLibrary
     resolution: MeshResolution | str = "coarse"
     scheme: InterpolationScheme = InterpolationScheme((4, 4, 4))
     cache: "ROMCache | str | Path | None" = None
-    jobs: int | None = None
 
     def __post_init__(self) -> None:
         self.resolution = MeshResolution.from_spec(self.resolution)
         if isinstance(self.scheme, tuple):
             self.scheme = InterpolationScheme(self.scheme)
         self.cache = ROMCache.from_spec(self.cache)
-        resolve_jobs(self.jobs)  # validate eagerly
 
     # ------------------------------------------------------------------ #
     # public API
@@ -160,12 +153,13 @@ class LocalStage:
     ) -> list[ReducedOrderModel]:
         """Build ROMs for several independent unit blocks, one per input.
 
-        The blocks are independent local stages, so with ``jobs > 1`` they
-        run concurrently on the shared worker pool.  Results are returned in
-        input order and are bit-identical to serial ``build`` calls; with a cache
-        configured, concurrent writers are safe (atomic rename + lockfile).
+        The blocks are independent local stages, so they run concurrently,
+        one thread per block and at most one per CPU.  Results are returned
+        in input order and are bit-identical to serial ``build`` calls; with a
+        cache configured, concurrent writers are safe (atomic rename +
+        lockfile).
         """
-        return parallel_map(self.build, list(blocks), jobs=self.jobs)
+        return parallel_map(self.build, blocks)
 
     def build_pair(
         self, block: UnitBlockGeometry
@@ -174,7 +168,7 @@ class LocalStage:
 
         Sub-modeling needs both (paper §4.4); building them together reuses
         the configuration, mirrors the paper's extra dummy local stage and
-        runs the two independent builds concurrently when ``jobs > 1``.
+        runs the two independent builds concurrently.
         """
         tsv_rom, dummy_rom = self.build_many([block, block.as_dummy()])
         return tsv_rom, dummy_rom

@@ -112,10 +112,6 @@ class MoreStressSimulator:
         When set, the one-shot local stage is skipped entirely whenever a ROM
         of this configuration was already built — by this process or any
         earlier one sharing the cache directory.
-    jobs:
-        Worker count for independent local-stage block builds (e.g. the
-        TSV and dummy ROMs of sub-modeling).  ``None`` uses one worker per
-        CPU; results are bit-identical to ``jobs=1``.
 
     Example
     -------
@@ -148,7 +144,6 @@ class MoreStressSimulator:
         default_factory=lambda: SolverOptions(method="gmres", rtol=1e-9)
     )
     rom_cache: "ROMCache | str | Path | None" = None
-    jobs: int | None = None
     _roms: dict[BlockKind, ReducedOrderModel] = field(default_factory=dict, repr=False)
     _local_stage_seconds: float = field(default=0.0, repr=False)
 
@@ -172,7 +167,6 @@ class MoreStressSimulator:
             resolution=self.mesh_resolution,
             scheme=self.scheme,
             cache=self.rom_cache,
-            jobs=self.jobs,
         )
         block = UnitBlockGeometry(tsv=self.tsv, has_tsv=True)
         wanted = [(BlockKind.TSV, block)]
@@ -180,7 +174,7 @@ class MoreStressSimulator:
             wanted.append((BlockKind.DUMMY, block.as_dummy()))
         missing = [(kind, b) for kind, b in wanted if kind not in self._roms]
         if missing:
-            # Independent blocks build concurrently on the shared pool.
+            # Independent blocks build concurrently, one thread each.
             start = time.perf_counter()
             built = stage.build_many([b for _, b in missing])
             self._local_stage_seconds += time.perf_counter() - start

@@ -1,9 +1,8 @@
 """Rate-limited worker pool executing queued jobs over one warm ROM cache.
 
-The pool is the service's execution half: N daemon threads (bounded by
-:func:`~repro.utils.parallel.resolve_jobs`, the package-wide ``--jobs``
-semantics) drain a FIFO queue of job ids and run each spec through
-:func:`repro.api.run`.  All workers share **one** process-wide
+The pool is the service's execution half: N daemon threads (``repro serve
+--workers N``; default half the CPUs) drain a FIFO queue of job ids and run
+each spec through :func:`repro.api.run`.  All workers share **one** process-wide
 :class:`~repro.rom.cache.ROMCache`, so concurrent jobs with the same
 geometry/mesh/materials hit warm factorizations instead of rebuilding the
 local stage — the whole point of serving simulations from a long-lived
@@ -126,7 +125,7 @@ class WorkerPool:
     store:
         The persistent :class:`JobStore` (owns all job state).
     workers:
-        Concurrent jobs (``--jobs`` semantics; default: half the CPUs).
+        Concurrent jobs, a positive integer (default: half the CPUs).
     rom_cache:
         Shared cache instance or directory.  Defaults to ``rom_cache/``
         inside the store directory, so restarts stay warm.
@@ -350,7 +349,7 @@ class WorkerPool:
                 # replacement thread; this one exits to keep the worker
                 # count honest.
                 abandoned = True
-            except Exception:  # pragma: no cover - belt and braces
+            except Exception:
                 _logger.exception("worker: unexpected error running job %s", job_id)
             finally:
                 with self._busy_lock:
@@ -364,7 +363,13 @@ class WorkerPool:
                 return
 
     def _run_job(self, job_id: str) -> None:
-        job = self.store.mark_running(job_id)
+        try:
+            job = self.store.mark_running(job_id)
+        except Exception as exc:
+            # mark_running sets "running" before it persists: a crash
+            # persisting the claim must not leave the job there.
+            self._release(job_id, exc)
+            raise
         if job is None:  # cancelled (or otherwise gone) while queued
             return
         spec = job.build_spec()
@@ -417,8 +422,7 @@ class WorkerPool:
                     result = run_fn(spec, rom_cache=self.rom_cache, progress=progress)
                     token.check_abandoned()
                     result.save(self.store.result_dir(job))
-                    self.store.mark_done(job, default_run_summary(result))
-                    return
+                    summary = default_run_summary(result)
                 except _AbandonedExecution:
                     raise
                 except JobCancelledError:
@@ -444,8 +448,34 @@ class WorkerPool:
                         backoff,
                     )
                     time.sleep(backoff)
+                else:
+                    # Outside the retry path: a crash persisting "done" must
+                    # not run the finished job again.
+                    self.store.mark_done(job, summary)
+                    return
         finally:
             self._unregister(token)
+
+    def _release(self, job_id: str, exc: Exception) -> None:
+        """Re-queue a job whose claim failed to persist, or fail it.
+
+        The claim started no attempt, so the job goes back to the queue
+        without consuming one, as after a restart, unless its retry budget
+        is already spent.
+        """
+        job = self.store.get(job_id)
+        if job.state != "running":
+            return
+        if job.attempts >= job.max_attempts:
+            self.store.mark_failed(job, exc)
+            return
+        try:
+            self.store.requeue(job)
+        finally:
+            # requeue sets "queued" before it persists: enqueue the job even
+            # if that persist crashed too.
+            if job.state == "queued":
+                self._queue.put(job.id)
 
 
 __all__ = ["ExecutionToken", "WorkerPool", "default_run_summary"]

@@ -1,23 +1,22 @@
 """Shared worker-pool helpers.
 
-One small, order-preserving ``parallel_map`` serves every embarrassingly
-parallel loop in the package: independent unit-block ROM builds, load-sweep
-cases and experiment scenario sweeps.  The default worker count follows ``--jobs N`` semantics
-(``None`` means one worker per CPU), and ``jobs=1`` degrades to a plain
-serial loop so callers pay no pool overhead — and produce byte-for-byte the
-same results — when parallelism is off.
+One small, order-preserving ``parallel_map`` serves the embarrassingly
+parallel loops of the package: the independent unit-block ROM builds of the
+local stage (one thread per block, at most one per CPU) and the experiment
+drivers' sweeps over independent cases, whose worker count follows
+``--jobs N`` semantics (``None`` means one worker per CPU).  One effective
+worker degrades to a plain serial loop in the calling thread, so callers pay
+no pool overhead — and get byte-for-byte the same results — when there is
+nothing to run concurrently.
 
-Threads are the default executor: the heavy lifting inside each task happens
-in NumPy/SciPy compiled code, and every task writes only to its own result.
-A process pool (fork/spawn via :mod:`concurrent.futures`) is available for
-coarse-grained tasks whose functions and results pickle cleanly, e.g. whole
-experiment cases.
+The workers are threads: the heavy lifting inside each task happens in
+NumPy/SciPy compiled code, and every task writes only to its own result.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.utils.validation import ValidationError
@@ -61,23 +60,19 @@ def parallel_map(
     fn: Callable[[_ItemT], _ResultT],
     items: Iterable[_ItemT],
     jobs: int | None = None,
-    executor: str = "thread",
 ) -> list[_ResultT]:
-    """Map ``fn`` over ``items``, preserving input order.
+    """Map ``fn`` over ``items`` on a thread pool, preserving input order.
 
     Parameters
     ----------
     fn:
-        The per-item task.  Tasks must be independent of each other; with
-        ``executor="process"`` both ``fn`` and its results must pickle.
+        The per-item task.  Tasks must be independent of each other.
     items:
         The work list (consumed eagerly).
     jobs:
-        Worker count (``None`` = one per CPU).  With one effective worker the
-        map runs serially in the calling thread, bit-identical to a plain
-        loop.
-    executor:
-        ``"thread"`` (default) or ``"process"``.
+        Worker count (``None`` = one per CPU), capped at the number of
+        items.  With one effective worker the map runs serially in the
+        calling thread, bit-identical to a plain loop.
 
     Returns
     -------
@@ -89,15 +84,7 @@ def parallel_map(
     workers = min(resolve_jobs(jobs), len(work))
     if workers <= 1:
         return [fn(item) for item in work]
-    if executor == "thread":
-        pool_cls = ThreadPoolExecutor
-    elif executor == "process":
-        pool_cls = ProcessPoolExecutor
-    else:
-        raise ValidationError(
-            f"executor must be 'thread' or 'process', got {executor!r}"
-        )
-    with pool_cls(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, work))
 
 

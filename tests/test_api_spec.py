@@ -5,6 +5,7 @@ and the failure modes: every malformed document must fail with a
 :class:`SpecError` whose message names the offending field.
 """
 
+import copy
 import json
 from pathlib import Path
 
@@ -44,7 +45,7 @@ def array_spec() -> SimulationSpec:
             )
         ),
         mesh=MeshSpec(resolution="tiny", nodes_per_axis=(3, 3, 3), points_per_block=7),
-        solver=SolverSpec(method="direct", jobs=2),
+        solver=SolverSpec(method="direct"),
         load_cases=(LoadCase(name="cooldown", delta_t=-250.0),),
     )
 
@@ -652,7 +653,8 @@ class TestSpecErrorTextIsPinned:
             ),
             pytest.param(
                 {"solver": {"jobs": "2"}},
-                "spec.solver.jobs: expected an integer, got '2'",
+                "spec.solver.jobs: the local stage always builds its blocks concurrently, "
+                "so only null or a positive integer (ignored) is accepted, got '2'",
                 id="solver.jobs-type",
             ),
             pytest.param(
@@ -828,6 +830,26 @@ class TestSpecErrorTextIsPinned:
         assert document["solver"]["backend"] is None
         del document["solver"]["backend"]
         assert SimulationSpec.from_dict(document).spec_hash() == "6a067486eeebb4ddd598"
+
+    def test_retired_jobs_key_loads_and_hashes_like_null(self):
+        # Saved runs and job records that name a worker count still load, and
+        # join the runs that do not: the schedule never changes the results.
+        document = SimulationSpec().to_dict()
+        assert document["solver"]["jobs"] is None
+        with_count = copy.deepcopy(document)
+        with_count["solver"]["jobs"] = 2
+        without_key = copy.deepcopy(document)
+        del without_key["solver"]["jobs"]
+        specs = [SimulationSpec.from_dict(d) for d in (document, with_count, without_key)]
+        assert specs[1] == specs[0] == specs[2]
+        assert {spec.spec_hash() for spec in specs} == {"6a067486eeebb4ddd598"}
+        assert specs[1].to_dict()["solver"]["jobs"] is None
+
+    @pytest.mark.parametrize("value", [0, -1, "2", True, 2.0])
+    def test_retired_jobs_key_rejects_anything_but_a_positive_int(self, value):
+        with pytest.raises(SpecError) as excinfo:
+            SimulationSpec.from_dict({"solver": {"jobs": value}})
+        assert str(excinfo.value).startswith("spec.solver.jobs: ")
 
     @pytest.mark.parametrize(
         "name, expected",

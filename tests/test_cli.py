@@ -93,8 +93,6 @@ class TestCLISolverBackendAndJobs:
                 "3",
                 "--points-per-block",
                 "5",
-                "--jobs",
-                "2",
             ]
         )
         assert code == 0
@@ -107,19 +105,11 @@ class TestCLISolverBackendAndJobs:
                 main(["simulate", "--solver-backend", value])
             assert exc.value.code == 2
 
-    def test_invalid_jobs_rejected(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--rows",
-                "1",
-                "--resolution",
-                "tiny",
-                "--nodes",
-                "3",
-                "--jobs",
-                "0",
-            ]
-        )
-        assert code == 2
-        assert "error: jobs must be >= 1" in capsys.readouterr().err
+    def test_invalid_jobs_rejected(self, tmp_path, capsys):
+        # The local stage has one schedule, so --jobs is a usage error on the
+        # commands that run a spec; only the table commands keep it.
+        for argv in (["simulate"], ["spec"], ["run", "spec.json"], ["export", str(tmp_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--jobs", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

@@ -107,8 +107,11 @@ class TestRunExportField:
         assert capsys.readouterr().err == f"error: no manifest.json found in {tmp_path}\n"
 
     def test_export_zero_jobs_is_a_usage_error(self, tmp_path, capsys):
-        assert main(["export", str(tmp_path), "--jobs", "0"]) == 2
-        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+        # export has no --jobs: any count is an argparse usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["export", str(tmp_path), "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 0" in capsys.readouterr().err
 
     def test_export_output_that_is_a_file_is_a_usage_error(self, tmp_path, capsys):
         target = tmp_path / "taken"

@@ -281,6 +281,42 @@ class TestWorkerPool:
         assert ended.attempts == max_attempts
         assert len(calls) == max_attempts - 1
 
+    @pytest.mark.parametrize(
+        "nth, attempts_before, final, runs",
+        [
+            (1, 0, "done", 1),  # the claim: re-queued, costs no attempt
+            (1, 2, "failed", 0),  # the claim of a job with no attempt left
+            (3, 0, "done", 1),  # the "done" record: the job is not run again
+        ],
+    )
+    def test_crash_persisting_a_transition_never_strands_the_job(
+        self, tmp_path, nth, attempts_before, final, runs
+    ):
+        # After the submit, a one-worker pool persists the job in mark_running
+        # (1st write), record_execution (2nd) and mark_done (3rd).
+        store = JobStore(tmp_path)
+        job, _ = store.submit(TINY_SPEC, max_attempts=2)
+        job.attempts = attempts_before  # as after attempts before a restart
+        plan = faults.FaultPlan(
+            seed=0,
+            rules=({"site": "service.jobs.persist", "kind": "crash", "nth": nth},),
+        )
+        calls = []
+
+        def run_fn(spec, rom_cache=None, progress=None):
+            calls.append(1)
+            return FakeResult()
+
+        with faults.injected_faults(plan):
+            ended = self._drain(store, run_fn, job, retry_backoff_seconds=0.01)
+        assert [event["site"] for event in plan.fired] == ["service.jobs.persist"]
+        assert ended.state == final
+        assert len(calls) == runs
+        if final == "failed":
+            assert ended.error["code"] == "internal_error"
+        # The crash lands after the write, and later writes heal the record.
+        assert JobStore(tmp_path).get(job.id).state == final
+
 
 @pytest.fixture()
 def fake_server(tmp_path):

@@ -92,10 +92,6 @@ class TestParallelMap:
         idents = parallel_map(task, [0, 1], jobs=2)
         assert all(ident != caller for ident in idents)
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValidationError):
-            parallel_map(lambda x: x, [1, 2], jobs=2, executor="goroutine")
-
     def test_exceptions_propagate(self):
         def boom(x):
             raise RuntimeError(f"task {x} failed")
